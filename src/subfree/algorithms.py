@@ -11,6 +11,11 @@ committed step always runs the runtime law checks:
   replaced weight.
 
 Violations raise ``InvariantViolation`` rather than degrade silently.
+
+The proposals take a weight view: the deterministic rules rank and sum
+members by current weight, and the randomized rules for non-monotone
+objectives run the same proposals on arrival weights, adding only their
+coins and slots.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .matroid import UniformMatroid
 from .objective import Objective, ThinnedObjective, sampled_value_p
-from .tracker import InvariantViolation, OnlineState
+from .tracker import ARRIVAL, CURRENT, InvariantViolation, OnlineState
 
 ALPHA_RESIDUAL = 1e-10
 CHECK_TOL = 1e-9
@@ -111,59 +116,79 @@ def _commit(st: OnlineState, d: Decision, *, strict_monotone: bool) -> None:
 # -- capacity rule for k-uniform constraints ---------------------------------
 
 
-def propose_k_uniform(st: OnlineState, u: str, alpha: AlphaConstant) -> Decision:
-    """Accept iff w(u) clears (alpha * w_S(S) - w(A)) / k; evict the member
-    of minimal current weight when the set is full."""
+def _threshold_quantity(st: OnlineState, alpha: AlphaConstant, view: str):
+    """alpha * W - rho * w(A), with W the members' weight total under the view."""
+    # The result is a float either way; converting w(A) first spares reducing
+    # a large exact rational on every arrival.
+    return alpha.value * st.weight_total(view) - alpha.rho * float(st.w_A_total())
+
+
+def propose_k_uniform(st: OnlineState, u: str, alpha: AlphaConstant,
+                      view: str = CURRENT) -> Decision:
+    """Accept iff w(u) clears (alpha * W - rho * w(A)) / capacity; evict the
+    member of minimal weight under the view when the set is full.
+
+    The deterministic rule runs current weights at rho = 1 and capacity k;
+    the randomized rule runs arrival weights at capacity rho * k.
+    """
     matroid = st.matroid
     if not isinstance(matroid, UniformMatroid):
         raise ValueError("the capacity rule needs a uniform matroid")
-    if not st.objective.monotone:
+    if view == CURRENT and not st.objective.monotone:
         raise ValueError("the capacity rule needs a monotone objective")
-    if matroid.k < 4 or alpha.rho != 1 or alpha.k != matroid.k:
+    if (alpha.k * alpha.rho != matroid.k
+            or (view == CURRENT and (matroid.k < 4 or alpha.rho != 1))):
         raise ValueError(
             f"constant solved for k={alpha.k}, rho={alpha.rho} does not fit k={matroid.k}"
         )
-    k = matroid.k
+    capacity = matroid.k
     w_u = st.w_arrival(u)
-    threshold = (alpha.value * st.w_S_total() - st.w_A_total()) / k
+    threshold = _threshold_quantity(st, alpha, view) / capacity
     if not w_u > threshold:
         return Decision(u, False, w_u=w_u)
-    if len(st.feasible) == k:
-        worst = st.min_member()
-        return Decision(u, True, evicted=worst, w_u=w_u, w_evicted=st.w_S(worst))
+    if len(st.feasible) == capacity:
+        worst = st.min_member(view=view)
+        return Decision(u, True, evicted=worst, w_u=w_u,
+                        w_evicted=st.member_weights(view)[worst])
     return Decision(u, True, w_u=w_u)
+
+
+def _check_replacement(d: Decision, alpha: AlphaConstant) -> None:
+    """A replacement's w(u) clears alpha / (alpha - rho) times the evicted weight."""
+    if d.evicted is None:
+        return
+    bound = alpha.value / (alpha.value - alpha.rho) * d.w_evicted
+    if not _approx_gt(d.w_u, bound):
+        raise InvariantViolation(f"replacement bound failed: w(u)={d.w_u} vs {bound}")
 
 
 def step_k_uniform(st: OnlineState, u: str, alpha: AlphaConstant) -> Decision:
     d = propose_k_uniform(st, u, alpha)
     if d.accepted:
-        if d.evicted is not None:
-            bound = alpha.value / (alpha.value - 1) * d.w_evicted
-            if not _approx_gt(d.w_u, bound):
-                raise InvariantViolation(
-                    f"replacement bound failed: w(u)={d.w_u} vs {bound}"
-                )
+        _check_replacement(d, alpha)
         _commit(st, d, strict_monotone=True)
-    _check_threshold_monotone(st, alpha.value * st.w_S_total() - st.w_A_total())
+    _check_threshold_monotone(st, alpha, CURRENT)
     return d
 
 
-def _check_threshold_monotone(st: OnlineState, current, key: str = "threshold_last") -> None:
-    last = st.notes.get(key)
+def _check_threshold_monotone(st: OnlineState, alpha: AlphaConstant, view: str) -> None:
+    current = _threshold_quantity(st, alpha, view)
+    last = st.notes.get("threshold_last")
     if last is not None and not _approx_gt(current, last):
         raise InvariantViolation(f"threshold quantity decreased: {last} -> {current}")
-    st.notes[key] = current
+    st.notes["threshold_last"] = current
 
 
 # -- exchange rule for general matroids ---------------------------------------
 
 
-def propose_general_matroid(st: OnlineState, u: str, c=2) -> Decision:
-    """Free slots take any positive-weight arrival; otherwise the cheapest
-    exchange candidate is replaced when w(u) >= c times its current weight."""
+def propose_general_matroid(st: OnlineState, u: str, c=2, view: str = CURRENT) -> Decision:
+    """Free slots take any positive-weight arrival; otherwise the exchange
+    candidate of minimal weight under the view is replaced when w(u) >= c
+    times that weight."""
     if not c > 1:
         raise ValueError("the exchange rule needs c > 1")
-    if not st.objective.monotone:
+    if view == CURRENT and not st.objective.monotone:
         raise ValueError("the exchange rule needs a monotone objective")
     w_u = st.w_arrival(u)
     if st.matroid.is_independent(st.feasible | {u}):
@@ -171,8 +196,8 @@ def propose_general_matroid(st: OnlineState, u: str, c=2) -> Decision:
     swap = st.matroid.exchange_set(st.feasible, u)
     if not swap:
         return Decision(u, False, w_u=w_u)
-    worst = st.min_member(swap)
-    w_worst = st.w_S(worst)
+    worst = st.min_member(swap, view)
+    w_worst = st.member_weights(view)[worst]
     if w_u >= c * w_worst:
         return Decision(u, True, evicted=worst, w_u=w_u, w_evicted=w_worst)
     return Decision(u, False, w_u=w_u)
@@ -291,31 +316,14 @@ class NonmonotoneGeneralRun:
         self.kept: set = set()
 
     def step(self, u: str) -> Decision:
-        w_u = self.state.w_arrival(u)
-        if w_u <= 0:
-            return Decision(u, False, w_u=w_u)
-        d = self._propose_single_w(u, w_u)
+        d = propose_general_matroid(self.state, u, self.c, view=ARRIVAL)
         if d.accepted:
-            self.state.accept(d.element, evict=d.evicted)
-            self.state.rounds += 1
+            _commit(self.state, d, strict_monotone=False)
             if d.evicted is not None:
                 self.kept.discard(d.evicted)
             if self.coin():
                 self.kept.add(u)
         return d
-
-    def _propose_single_w(self, u: str, w_u) -> Decision:
-        st = self.state
-        if st.matroid.is_independent(st.feasible | {u}):
-            return Decision(u, True, w_u=w_u)
-        swap = st.matroid.exchange_set(st.feasible, u)
-        if not swap:
-            return Decision(u, False, w_u=w_u)
-        worst = min(swap, key=lambda v: (st.arrival_w[v], st.acc_index[v]))
-        w_worst = st.arrival_w[worst]
-        if w_u >= self.c * w_worst:
-            return Decision(u, True, evicted=worst, w_u=w_u, w_evicted=w_worst)
-        return Decision(u, False, w_u=w_u)
 
     def feasible_set(self) -> frozenset:
         return frozenset(self.kept)
@@ -350,30 +358,13 @@ class NonmonotoneUniformRun:
 
     def step(self, u: str) -> Decision:
         st = self.state
-        w_u = st.w_arrival(u)
-        cap = self.rho * self.k
-        threshold = (self.alpha.value * st.w_arrival_over_S() - self.rho * st.w_A_total()) / cap
-        if not w_u > threshold:
-            return Decision(u, False, w_u=w_u)
-        evicted = None
-        if len(st.feasible) == cap:
-            evicted = min(st.feasible, key=lambda v: (st.arrival_w[v], st.acc_index[v]))
-            w_evicted = st.arrival_w[evicted]
-            bound = self.alpha.value / (self.alpha.value - self.rho) * w_evicted
-            if not _approx_gt(w_u, bound):
-                raise InvariantViolation(
-                    f"replacement bound failed: w(u)={w_u} vs {bound}"
-                )
-            d = Decision(u, True, evicted=evicted, w_u=w_u, w_evicted=w_evicted)
-        else:
-            d = Decision(u, True, w_u=w_u)
-        slot = self.slot_of.pop(evicted) if evicted is not None else self._free.pop()
-        st.accept(u, evict=evicted)
-        st.rounds += 1
-        self.slot_of[u] = slot
-        _check_threshold_monotone(
-            st, self.alpha.value * st.w_arrival_over_S() - self.rho * st.w_A_total()
-        )
+        d = propose_k_uniform(st, u, self.alpha, view=ARRIVAL)
+        if d.accepted:
+            _check_replacement(d, self.alpha)
+            slot = self.slot_of.pop(d.evicted) if d.evicted is not None else self._free.pop()
+            _commit(st, d, strict_monotone=False)
+            self.slot_of[u] = slot
+            _check_threshold_monotone(st, self.alpha, ARRIVAL)
         return d
 
     def _selected_slots(self, choice: Sequence[int]) -> set:

@@ -42,7 +42,14 @@ from .algorithms import (
     step_k_uniform,
 )
 from .fractional import FractionalState
-from .matroid import ExplicitMatroid, Matroid, MatroidError, PartitionMatroid, UniformMatroid
+from .matroid import (
+    MAX_ENUM_GROUND,
+    ExplicitMatroid,
+    Matroid,
+    MatroidError,
+    PartitionMatroid,
+    UniformMatroid,
+)
 from .objective import (
     ExplicitTable,
     IntervalCoverage,
@@ -298,14 +305,19 @@ def _assert_ratio(f_s, opt, ratio, what):
         )
 
 
+def _reference_optima(instance: Instance, check: bool) -> List[object]:
+    """Brute-force prefix optima when checking every round or when the stream
+    is short enough to enumerate; None per round otherwise."""
+    n = len(instance.arrival_order)
+    if check or n <= MAX_ENUM_GROUND:
+        return prefix_optima(instance.objective, instance.matroid, instance.arrival_order)
+    return [None] * n
+
+
 def run_deterministic(instance: Instance, step: Callable, guarantee: Optional[float],
                       check: bool) -> Tuple[List[dict], dict]:
     state = OnlineState(instance.objective, instance.matroid)
-    opts = (
-        prefix_optima(instance.objective, instance.matroid, instance.arrival_order)
-        if check or len(instance.arrival_order) <= 20
-        else [None] * len(instance.arrival_order)
-    )
+    opts = _reference_optima(instance, check)
     records = []
     for i, u in enumerate(instance.arrival_order):
         d = step(state, u)
@@ -330,7 +342,7 @@ def run_fractional(instance: Instance, delta, seed: int, trials: int,
         raise InstanceError("partition-frac needs a partition matroid")
     state = FractionalState(instance.objective, instance.matroid, delta=delta, seed=seed)
     alpha = state.alpha
-    opts = prefix_optima(instance.objective, instance.matroid, instance.arrival_order)
+    opts = _reference_optima(instance, check)
     records = []
     for i, u in enumerate(instance.arrival_order):
         state.step(u)
@@ -377,7 +389,7 @@ def run_nonmono(instance: Instance, kind: str, seed: int, trials: int,
         return instance.objective.value(run.feasible_set())
 
     run = make(seed)
-    opts = prefix_optima(instance.objective, instance.matroid, instance.arrival_order)
+    opts = _reference_optima(instance, check)
     if kind == "nonmono-general":
         guarantee = 1.0 / 16.0
     else:
@@ -742,7 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
     adv.add_argument("--k", type=int, default=None)
     adv.add_argument("--alg", default="general",
                      choices=["general", "k-uniform", "best-singleton"])
-    adv.add_argument("--seed", type=int, default=None)
     adv.add_argument("--quiet", action="store_true")
 
     ver = sub.add_parser("verify", help="randomized property suites")

@@ -99,8 +99,8 @@ class FractionalState:
                 counts[unit.element] = counts.get(unit.element, 0) + 1
         return {u: float(n * self.delta) for u, n in counts.items()}
 
-    def soft_value_live(self, mode: str = "exact", **kw):
-        return soft_value(self.objective, self.live_masses(), mode=mode, **kw)
+    def soft_value_live(self):
+        return soft_value(self.objective, self.live_masses())
 
     def part_threshold(self, part: str) -> float:
         return (self.alpha * self.w_live[part] - self.w_hist[part]) / self.parts[part]
@@ -190,11 +190,3 @@ class FractionalState:
         }
         return self.round_online(pts)
 
-
-def step_partition_fractional(state: FractionalState, u: str) -> List[dict]:
-    """Module-level alias for the arrival loop."""
-    return state.step(u)
-
-
-def round_online(state: FractionalState) -> frozenset:
-    return state.round_online()

@@ -16,19 +16,19 @@ threshold comparisons on adversarial streams are tie-free by construction.
 The module-level functions implement the fractional extensions: the
 exponential extension over nonnegative mass vectors (element ``u`` realized
 with probability ``1 - exp(-mass_u)``), its coordinate derivative, and the
-independent p-thinning extension over ordinary sets.
+independent p-thinning extension over ordinary sets.  All three are exact:
+they enumerate every realization of a support of at most
+``EXACT_SUPPORT_LIMIT`` elements.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from bisect import bisect_left
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
 EXACT_SUPPORT_LIMIT = 15
-DEFAULT_MC_SAMPLES = 10_000
 
 # A mass vector over elements; absent keys mean zero mass.
 FractionalVector = Mapping[str, float]
@@ -410,8 +410,10 @@ def _validated_masses(s: FractionalVector) -> Dict[str, float]:
 
 def _subset_expectation(f: Objective, pool: List[str], prob, fixed: FrozenSet[str] = frozenset()):
     """Sum over subsets T of pool of Pr[T] * f(T | fixed present)."""
-    total = 0.0
     n = len(pool)
+    if n > EXACT_SUPPORT_LIMIT:
+        raise ObjectiveError(f"support {n} exceeds the enumeration limit {EXACT_SUPPORT_LIMIT}")
+    total = 0.0
     for mask in range(1 << n):
         pr = 1.0
         members = set(fixed)
@@ -426,39 +428,15 @@ def _subset_expectation(f: Objective, pool: List[str], prob, fixed: FrozenSet[st
     return total
 
 
-def soft_value(
-    f: Objective,
-    s: FractionalVector,
-    mode: str = "exact",
-    samples: int = DEFAULT_MC_SAMPLES,
-    seed: int = 0,
-):
+def soft_value(f: Objective, s: FractionalVector):
     """Expected value when element u appears with probability 1 - exp(-mass_u)."""
     masses = _validated_masses(s)
     pool = sorted(masses)
     prob = [1.0 - math.exp(-float(masses[el])) for el in pool]
-    if mode == "exact":
-        if len(pool) > EXACT_SUPPORT_LIMIT:
-            raise ObjectiveError(f"support {len(pool)} too large for exact mode")
-        return _subset_expectation(f, pool, prob)
-    if mode == "monte_carlo":
-        rng = random.Random(seed)
-        total = 0.0
-        for _ in range(samples):
-            draw = frozenset(el for el, p in zip(pool, prob) if rng.random() < p)
-            total += f.value(draw)
-        return total / samples
-    raise ObjectiveError(f"unknown mode {mode!r}")
+    return _subset_expectation(f, pool, prob)
 
 
-def soft_marginal_rate(
-    f: Objective,
-    u: str,
-    s: FractionalVector,
-    mode: str = "exact",
-    samples: int = DEFAULT_MC_SAMPLES,
-    seed: int = 0,
-):
+def soft_marginal_rate(f: Objective, u: str, s: FractionalVector):
     """Derivative of soft_value in u's coordinate.
 
     Equals exp(-mass_u) times the expected marginal of u against a
@@ -468,46 +446,14 @@ def soft_marginal_rate(
     own = float(masses.pop(u, 0.0))
     pool = sorted(masses)
     prob = [1.0 - math.exp(-float(masses[el])) for el in pool]
-    damp = math.exp(-own)
-    if mode == "exact":
-        if len(pool) > EXACT_SUPPORT_LIMIT:
-            raise ObjectiveError(f"support {len(pool)} too large for exact mode")
-        with_u = _subset_expectation(f, pool, prob, fixed=frozenset({u}))
-        without = _subset_expectation(f, pool, prob)
-        return damp * (with_u - without)
-    if mode == "monte_carlo":
-        rng = random.Random(seed)
-        total = 0.0
-        for _ in range(samples):
-            draw = frozenset(el for el, p in zip(pool, prob) if rng.random() < p)
-            total += f.value(draw | {u}) - f.value(draw)
-        return damp * total / samples
-    raise ObjectiveError(f"unknown mode {mode!r}")
+    with_u = _subset_expectation(f, pool, prob, fixed=frozenset({u}))
+    without = _subset_expectation(f, pool, prob)
+    return math.exp(-own) * (with_u - without)
 
 
-def sampled_value_p(
-    f: Objective,
-    s: Iterable[str],
-    p,
-    mode: str = "exact",
-    samples: int = DEFAULT_MC_SAMPLES,
-    seed: int = 0,
-):
+def sampled_value_p(f: Objective, s: Iterable[str], p):
     """Expected value of a uniform independent p-thinning of s."""
     if not 0 <= p <= 1:
         raise ObjectiveError("p must lie in [0, 1]")
     pool = sorted(_as_set(s))
-    if mode == "exact":
-        if len(pool) > EXACT_SUPPORT_LIMIT:
-            raise ObjectiveError(f"set of size {len(pool)} too large for exact mode")
-        p = float(p)
-        return _subset_expectation(f, pool, [p] * len(pool))
-    if mode == "monte_carlo":
-        rng = random.Random(seed)
-        p = float(p)
-        total = 0.0
-        for _ in range(samples):
-            draw = frozenset(el for el in pool if rng.random() < p)
-            total += f.value(draw)
-        return total / samples
-    raise ObjectiveError(f"unknown mode {mode!r}")
+    return _subset_expectation(f, pool, [float(p)] * len(pool))

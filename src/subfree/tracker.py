@@ -25,6 +25,11 @@ from .objective import Objective
 
 WS_MONOTONE_TOL = 1e-9
 
+# Weight views the rules rank and sum members by: current weights for the
+# deterministic rules, arrival weights for the randomized ones.
+CURRENT = "current"
+ARRIVAL = "arrival"
+
 
 class TrackerError(ValueError):
     """Illegal transition: duplicate acceptance, bad evict, infeasible set."""
@@ -84,6 +89,14 @@ class OnlineState:
             for v in sorted(self.feasible, key=self.acc_index.__getitem__)
         )
 
+    def member_weights(self, view: str = CURRENT) -> Dict[str, object]:
+        """Weight of each member under a view (may hold evicted elements too)."""
+        return self.arrival_w if view == ARRIVAL else self._ws
+
+    def weight_total(self, view: str = CURRENT):
+        """Sum of the members' weights under a view: w(S) or w_S(S)."""
+        return self.w_arrival_over_S() if view == ARRIVAL else self._w_S_sum
+
     def f_S(self):
         return self.f_empty + self._w_S_sum
 
@@ -95,10 +108,11 @@ class OnlineState:
             return self.frozen_w[u]
         raise TrackerError(f"element {u!r} was never accepted")
 
-    def min_member(self, candidates=None):
-        """Member with minimal current weight; earliest acceptance on ties."""
+    def min_member(self, candidates=None, view: str = CURRENT):
+        """Member of minimal weight under a view; earliest acceptance on ties."""
         pool = self.feasible if candidates is None else candidates
-        return min(pool, key=lambda v: (self._ws[v], self.acc_index[v]), default=None)
+        weights = self.member_weights(view)
+        return min(pool, key=lambda v: (weights[v], self.acc_index[v]), default=None)
 
     # -- the single mutation --------------------------------------------
 

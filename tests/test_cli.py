@@ -231,6 +231,29 @@ def test_run_nonmono_uniform(tmp_path):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("alg, make_matroid", [
+    ("partition-frac", lambda order: PartitionMatroid(
+        {u: f"p{i % 3}" for i, u in enumerate(order)}, {"p0": 2, "p1": 2, "p2": 2})),
+    ("nonmono-general", lambda order: UniformMatroid(3)),
+    ("nonmono-uniform", lambda order: UniformMatroid(2)),
+])
+def test_run_beyond_enumeration_limit_skips_reference(tmp_path, capsys, alg, make_matroid):
+    # 24 arrivals are too many to enumerate; 18 of them weigh 0, so the
+    # soft and thinned supports stay at 6
+    order = [f"e{i:02d}" for i in range(24)]
+    f = Linear({u: float(i + 1) if i % 4 == 0 else 0.0 for i, u in enumerate(order)})
+    path = write_instance(tmp_path, Instance(order, objective=f, matroid=make_matroid(order)))
+    argv = ["run", "--alg", alg, "--instance", path, "--seed", "1"]
+    code, text = run_main(argv)
+    assert code == EXIT_OK
+    lines = [json.loads(l) for l in text.splitlines()]
+    assert len(lines) == 25 and lines[-1]["opt"] is None
+    assert all(rec.get("opt_prefix") is None for rec in lines[:-1])
+    code, _ = run_main(argv + ["--check-every-round"])
+    assert code == EXIT_INSTANCE
+    assert "exceeds enumeration limit 20" in capsys.readouterr().err
+
+
 def test_run_bipartite_instance(tmp_path):
     rng = random.Random(11)
     f1 = random_coverage(rng, 7)

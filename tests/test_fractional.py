@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from subfree.algorithms import solve_alpha
-from subfree.fractional import FractionalState, round_online, step_partition_fractional
+from subfree.fractional import FractionalState
 from subfree.matroid import PartitionMatroid
 from subfree.objective import Linear, WeightedCoverage, soft_value
 from subfree.oracle import brute_force_opt, random_coverage_objective
@@ -135,7 +135,7 @@ def test_round_online_empty_state():
     f = Linear({"a": 1.0})
     m = PartitionMatroid({"a": "p"}, {"p": 1})
     st = FractionalState(f, m)
-    assert round_online(st) == frozenset()
+    assert st.round_online() == frozenset()
 
 
 def test_round_online_respects_partition_feasibility():
@@ -186,9 +186,3 @@ def test_final_soft_value_close_to_opt_over_alpha():
         slack = alpha * float(st.delta) * max_w * len(st.parts)
         assert st.soft_value_live() >= opt / 3.15 - slack - 1e-9
 
-
-def test_step_alias():
-    f = Linear({"a": 2.0})
-    m = PartitionMatroid({"a": "p"}, {"p": 1})
-    st = FractionalState(f, m, delta=Fraction(1, 5))
-    assert step_partition_fractional(st, "a")

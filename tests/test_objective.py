@@ -211,15 +211,57 @@ def test_soft_value_single_element():
     assert soft_value(f, {"a": t}) == pytest.approx(expected, rel=1e-12)
 
 
-def test_soft_value_exact_vs_monte_carlo(rng):
-    f = WeightedCoverage({"x": 2, "y": 3}, {"a": {"x"}, "b": {"x", "y"}})
-    masses = {"a": 0.9, "b": 0.4}
-    exact = soft_value(f, masses)
-    n = 100_000
-    mc = soft_value(f, masses, mode="monte_carlo", samples=n, seed=7)
-    # crude per-sample variance bound: values live in [0, 5]
-    sigma = 5.0 / math.sqrt(n)
-    assert abs(mc - exact) <= 3 * sigma
+def _coverage_with_masses(rng):
+    """Random coverage with positive float weights, and masses on some members."""
+    items = [f"x{i}" for i in range(6)]
+    covers = {
+        f"e{j}": frozenset(rng.sample(items, rng.randint(1, 3)))
+        for j in range(rng.randint(3, 8))
+    }
+    f = WeightedCoverage({i: rng.uniform(0.5, 4.0) for i in items}, covers)
+    masses = {el: rng.uniform(0.0, 2.0) for el in covers if rng.random() < 0.7}
+    return f, masses
+
+
+def _covering_mass(f, masses):
+    """M_i: the mass on the members that cover item i."""
+    return {
+        i: sum(m for el, m in masses.items() if i in f.covers[el])
+        for i in f.universe_weight
+    }
+
+
+def test_soft_value_matches_coverage_closed_form():
+    # F(m) = sum_i w_i (1 - exp(-M_i))
+    for seed in range(25):
+        f, masses = _coverage_with_masses(random.Random(seed))
+        mass = _covering_mass(f, masses)
+        closed = sum(w * (1 - math.exp(-mass[i])) for i, w in f.universe_weight.items())
+        assert soft_value(f, masses) == pytest.approx(closed, rel=1e-12)
+
+
+def test_soft_marginal_rate_matches_coverage_closed_form():
+    # dF/dm_u = sum over items i covered by u of w_i exp(-M_i)
+    for seed in range(25):
+        f, masses = _coverage_with_masses(random.Random(100 + seed))
+        mass = _covering_mass(f, masses)
+        for u in sorted(f.elements()):
+            closed = sum(f.universe_weight[i] * math.exp(-mass[i]) for i in f.covers[u])
+            assert soft_marginal_rate(f, u, masses) == pytest.approx(closed, rel=1e-12)
+
+
+def test_sampled_value_matches_coverage_closed_form():
+    # E f(p-thinning of s) = sum_i w_i (1 - (1 - p)^c_i), c_i = |{v in s : v covers i}|
+    for seed in range(25):
+        rng = random.Random(200 + seed)
+        f, _ = _coverage_with_masses(rng)
+        s = frozenset(el for el in f.elements() if rng.random() < 0.6)
+        for p in (0.0, 0.3, rng.random(), 1.0):
+            closed = sum(
+                w * (1 - (1 - p) ** sum(i in f.covers[v] for v in s))
+                for i, w in f.universe_weight.items()
+            )
+            assert sampled_value_p(f, s, p) == pytest.approx(closed, rel=1e-12)
 
 
 def test_soft_value_support_guard():
@@ -250,32 +292,6 @@ def test_soft_marginal_rate_is_coordinate_derivative(rng):
         bumped[u] = bumped.get(u, 0.0) + delta
         fd = (soft_value(f, bumped) - soft_value(f, masses)) / delta
         assert fd == pytest.approx(rate, rel=1e-4, abs=1e-9)
-
-
-def test_soft_marginal_rate_monte_carlo_agrees(rng):
-    f = random_coverage(rng, 4)
-    ground = sorted(f.elements())
-    masses = {el: 0.8 for el in ground[:3]}
-    u = ground[0]
-    exact = soft_marginal_rate(f, u, masses)
-    mc = soft_marginal_rate(f, u, masses, mode="monte_carlo", samples=40_000, seed=3)
-    sigma = max(f.universe_weight.values()) * 4 / math.sqrt(40_000)
-    assert abs(mc - exact) <= 3 * sigma
-
-
-def test_sampled_value_monte_carlo_agrees(rng):
-    f = random_coverage(rng, 5)
-    s = frozenset(sorted(f.elements())[:4])
-    exact = sampled_value_p(f, s, 0.3)
-    mc = sampled_value_p(f, s, 0.3, mode="monte_carlo", samples=40_000, seed=5)
-    sigma = float(f.value(s)) / math.sqrt(40_000)
-    assert abs(mc - exact) <= 3 * max(sigma, 1e-6)
-
-
-def test_unknown_mode_rejected(rng):
-    f = random_coverage(rng, 3)
-    with pytest.raises(ObjectiveError):
-        soft_value(f, {}, mode="guess")
 
 
 def test_soft_extension_submodular_across_vectors(rng):
