@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .matroid import UniformMatroid
 from .objective import Objective, ThinnedObjective, sampled_value_p
@@ -301,8 +301,9 @@ class NonmonotoneGeneralRun:
 
     The auxiliary set S follows the deterministic exchange rule evaluated on
     g = half-thinned f with a single value function (arrival weights only);
-    the feasible output keeps each accepted element with an independent fair
-    coin, and evictions from S evict from the output too.
+    the feasible output is the members of S whose fair coin, tossed once at
+    acceptance, came up 1, so evictions from S evict from the output too.
+    S never depends on the coins.
     """
 
     def __init__(self, objective: Objective, matroid, seed: int = 0,
@@ -313,20 +314,26 @@ class NonmonotoneGeneralRun:
         self.c = c
         self._rng = random.Random(seed)
         self.coin = coin or (lambda: self._rng.getrandbits(1))
-        self.kept: set = set()
+        self.coins: Dict[str, int] = {}
 
     def step(self, u: str) -> Decision:
         d = propose_general_matroid(self.state, u, self.c, view=ARRIVAL)
         if d.accepted:
             _commit(self.state, d, strict_monotone=False)
-            if d.evicted is not None:
-                self.kept.discard(d.evicted)
-            if self.coin():
-                self.kept.add(u)
+            self.coins[u] = self.coin()
         return d
 
+    def _kept(self, coins: Dict[str, int]) -> frozenset:
+        return frozenset(u for u in self.state.feasible if coins[u])
+
     def feasible_set(self) -> frozenset:
-        return frozenset(self.kept)
+        return self._kept(self.coins)
+
+    def sample_with_seed(self, seed: int) -> frozenset:
+        """The feasible output of a fresh run with this seed on the same
+        stream: one coin per accepted element, drawn in acceptance order."""
+        rng = random.Random(seed)
+        return self._kept({u: rng.getrandbits(1) for u in self.state.history})
 
     def expected_feasible_value(self):
         """E over the coins of f(kept set), exactly: the half-thinning of S."""
@@ -353,8 +360,7 @@ class NonmonotoneUniformRun:
         self.state = OnlineState(self.g, UniformMatroid(rho * k))
         self.slot_of: dict = {}
         self._free: List[int] = list(range(rho * k - 1, -1, -1))  # pop() yields lowest
-        rng = random.Random(seed)
-        self.block_choice = [rng.randrange(rho) for _ in range(k)]
+        self.block_choice = self._draw_blocks(seed)
 
     def step(self, u: str) -> Decision:
         st = self.state
@@ -366,6 +372,16 @@ class NonmonotoneUniformRun:
             self.slot_of[u] = slot
             _check_threshold_monotone(st, self.alpha, ARRIVAL)
         return d
+
+    def _draw_blocks(self, seed: int) -> List[int]:
+        rng = random.Random(seed)
+        return [rng.randrange(self.rho) for _ in range(self.k)]
+
+    def sample_with_seed(self, seed: int) -> frozenset:
+        """The feasible output of a fresh run with this seed on the same
+        stream: S and its slots do not depend on the seed, only the block
+        choice does."""
+        return self.feasible_set(self._draw_blocks(seed))
 
     def _selected_slots(self, choice: Sequence[int]) -> set:
         return {block * self.rho + c for block, c in enumerate(choice)}

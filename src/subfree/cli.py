@@ -60,6 +60,8 @@ from .objective import (
     subset_key,
 )
 from .oracle import (
+    MAX_ASSIGNMENT_ARRIVALS,
+    assignment_prefix_optima,
     brute_force_opt,
     check_ckp_domination,
     check_f_vs_fhat,
@@ -307,11 +309,23 @@ def _assert_ratio(f_s, opt, ratio, what):
 
 def _reference_optima(instance: Instance, check: bool) -> List[object]:
     """Brute-force prefix optima when checking every round or when the stream
-    is short enough to enumerate; None per round otherwise."""
-    n = len(instance.arrival_order)
-    if check or n <= MAX_ENUM_GROUND:
-        return prefix_optima(instance.objective, instance.matroid, instance.arrival_order)
-    return [None] * n
+    is short enough to enumerate; None per round otherwise.  Instances with
+    agents get the optimal assignment of each prefix."""
+    order = instance.arrival_order
+    if instance.agents:
+        if check or len(order) <= MAX_ASSIGNMENT_ARRIVALS:
+            return assignment_prefix_optima(instance.agents, order)
+    elif check or len(order) <= MAX_ENUM_GROUND:
+        return prefix_optima(instance.objective, instance.matroid, order)
+    return [None] * len(order)
+
+
+def _trial_mean(f: Objective, sample: Callable[[int], frozenset], seeds: range):
+    """Mean of f over one sample per trial seed, in seed order; None without
+    trials."""
+    with ThreadPoolExecutor(max_workers=min(8, max(1, len(seeds)))) as pool:
+        values = list(pool.map(lambda s: f.value(sample(s)), seeds))
+    return statistics.fmean(values) if values else None
 
 
 def run_deterministic(instance: Instance, step: Callable, guarantee: Optional[float],
@@ -356,18 +370,13 @@ def run_fractional(instance: Instance, delta, seed: int, trials: int,
             max_w = max(state._max_unit_w.values(), default=0.0)
             slack = alpha * float(state.delta) * max_w * len(state.parts)
             _assert_ratio(fhat + slack, opts[i], 1 / 3.15, "fractional per-round ratio")
-    with ThreadPoolExecutor(max_workers=min(8, max(1, trials))) as pool:
-        rounded = list(
-            pool.map(
-                lambda t: instance.objective.value(state.round_with_seed(seed + 1 + t)),
-                range(trials),
-            )
-        )
+    rounded_mean = _trial_mean(instance.objective, state.round_with_seed,
+                               range(seed + 1, seed + 1 + trials))
     final = {
         "record": "final",
         "soft_value": to_jsonable(state.soft_value_live()),
         "opt": to_jsonable(opts[-1]) if instance.arrival_order else None,
-        "rounded_mean": to_jsonable(statistics.fmean(rounded)) if rounded else None,
+        "rounded_mean": rounded_mean,
         "rounded_once": sorted(state.round_online()),
     }
     return records, final
@@ -375,25 +384,15 @@ def run_fractional(instance: Instance, delta, seed: int, trials: int,
 
 def run_nonmono(instance: Instance, kind: str, seed: int, trials: int,
                 check: bool) -> Tuple[List[dict], dict]:
-    def make(run_seed: int):
-        if kind == "nonmono-general":
-            return NonmonotoneGeneralRun(instance.objective, instance.matroid, seed=run_seed)
-        if not isinstance(instance.matroid, UniformMatroid):
-            raise InstanceError("nonmono-uniform needs a uniform matroid")
-        return NonmonotoneUniformRun(instance.objective, instance.matroid.k, seed=run_seed)
-
-    def one_trial(t: int):
-        run = make(seed + t)
-        for u in instance.arrival_order:
-            run.step(u)
-        return instance.objective.value(run.feasible_set())
-
-    run = make(seed)
-    opts = _reference_optima(instance, check)
     if kind == "nonmono-general":
+        run = NonmonotoneGeneralRun(instance.objective, instance.matroid, seed=seed)
         guarantee = 1.0 / 16.0
     else:
+        if not isinstance(instance.matroid, UniformMatroid):
+            raise InstanceError("nonmono-uniform needs a uniform matroid")
+        run = NonmonotoneUniformRun(instance.objective, instance.matroid.k, seed=seed)
         guarantee = run.alpha.ratio * (1 - 1 / run.rho)
+    opts = _reference_optima(instance, check)
     records = []
     for i, u in enumerate(instance.arrival_order):
         d = run.step(u)
@@ -403,62 +402,16 @@ def run_nonmono(instance: Instance, kind: str, seed: int, trials: int,
         records.append(rec)
         if check:
             _assert_ratio(expected, opts[i], guarantee, "expected per-round ratio")
-    with ThreadPoolExecutor(max_workers=min(8, max(1, trials))) as pool:
-        finals = list(pool.map(one_trial, range(trials)))
+    trial_mean_f = _trial_mean(instance.objective, run.sample_with_seed,
+                               range(seed, seed + trials))
     final = {
         "record": "final",
         "expected_f": to_jsonable(run.expected_feasible_value()),
-        "trial_mean_f": to_jsonable(statistics.fmean(finals)) if finals else None,
+        "trial_mean_f": trial_mean_f,
         "opt": to_jsonable(opts[-1]) if instance.arrival_order else None,
         "selected_once": sorted(run.feasible_set()),
     }
     return records, final
-
-
-def best_assignment_value(agents, arrived: List[str]):
-    """Brute-force optimal assignment of arrivals to agents (or to nobody)."""
-    n = len(arrived)
-    if n > 12:
-        raise InstanceError("assignment optimum limited to 12 arrivals")
-    index = {u: i for i, u in enumerate(arrived)}
-
-    def best_table(f, m):
-        # best independent-subset value inside every subset mask
-        vals = [None] * (1 << n)
-        for s in m.enumerate_independent_sets(frozenset(arrived)):
-            mask = sum(1 << index[u] for u in s)
-            v = f.value(s)
-            if vals[mask] is None or v > vals[mask]:
-                vals[mask] = v
-        out = [f.value(frozenset())] * (1 << n)
-        for mask in range(1 << n):
-            if vals[mask] is not None and vals[mask] > out[mask]:
-                out[mask] = vals[mask]
-            for b in range(n):
-                if mask >> b & 1:
-                    prev = out[mask ^ (1 << b)]
-                    if prev > out[mask]:
-                        out[mask] = prev
-        return out
-
-    tables = [best_table(f, m) for f, m in agents]
-    full = (1 << n) - 1
-    best = [tables[0][m] for m in range(1 << n)]
-    for table in tables[1:]:
-        nxt = [None] * (1 << n)
-        for mask in range(1 << n):
-            sub = mask
-            acc = None
-            while True:
-                cand = best[mask ^ sub] + table[sub]
-                if acc is None or cand > acc:
-                    acc = cand
-                if sub == 0:
-                    break
-                sub = (sub - 1) & mask
-            nxt[mask] = acc
-        best = nxt
-    return best[full]
 
 
 def run_bipartite(instance: Instance, check: bool, c=2) -> Tuple[List[dict], dict]:
@@ -476,24 +429,22 @@ def run_bipartite(instance: Instance, check: bool, c=2) -> Tuple[List[dict], dic
             agents.append(Agent.general(state, c))
             worst_alpha = max(worst_alpha, float(c) / (float(c) - 1) + float(c))
     guarantee = 1.0 / (worst_alpha + 1.0)
+    opts = _reference_optima(instance, check)
     records = []
-    arrived: List[str] = []
     for i, u in enumerate(instance.arrival_order):
         idx, d = step_bipartite(agents, u)
-        arrived.append(u)
         total = sum(a.state.f_S() for a in agents)
-        opt = best_assignment_value(instance.agents, arrived) if check else None
         rec = {
             "record": "round", "round": i + 1, "element": u,
             "assigned_to": idx, "evicted": d.evicted if d else None,
             "total_f": to_jsonable(total),
         }
-        if opt is not None:
-            rec["opt_prefix"] = to_jsonable(opt)
-            _assert_ratio(total, opt, guarantee, "assignment per-round ratio")
+        if check:
+            rec["opt_prefix"] = to_jsonable(opts[i])
+            _assert_ratio(total, opts[i], guarantee, "assignment per-round ratio")
         records.append(rec)
     total = sum(a.state.f_S() for a in agents)
-    opt = best_assignment_value(instance.agents, arrived) if arrived else None
+    opt = opts[-1] if opts else None
     final = {
         "record": "final",
         "total_f": to_jsonable(total),
@@ -626,8 +577,6 @@ def cmd_adversary(args, out) -> int:
 
 
 def _verify_lemmas(rng: random.Random, cases: int, out) -> int:
-    from .matroid import UniformMatroid as _U
-
     failures = 0
     for case in range(cases):
         f, m, order = random_instance(rng, rng.randint(5, 9))
@@ -641,7 +590,7 @@ def _verify_lemmas(rng: random.Random, cases: int, out) -> int:
             if gap > 1e-9:
                 raise InvariantViolation(f"greedy optimality gap {gap}")
             ku = rng.randint(4, 6)
-            inst_u = Instance(order, objective=f, matroid=_U(ku))
+            inst_u = Instance(order, objective=f, matroid=UniformMatroid(ku))
             alpha = solve_alpha(ku)
             run_deterministic(
                 inst_u, lambda st, u: step_k_uniform(st, u, alpha), alpha.ratio, True

@@ -88,10 +88,6 @@ class FractionalState:
     def history_masses(self) -> Dict[str, float]:
         return {u: float(n * self.delta) for u, n in self.hist_units.items() if n}
 
-    def live_units_of(self, u: str) -> List[Unit]:
-        part = self.matroid.part(u)
-        return [unit for unit in self.live[part].values() if unit.element == u]
-
     def live_masses(self) -> Dict[str, float]:
         counts: Dict[str, int] = {}
         for part_units in self.live.values():

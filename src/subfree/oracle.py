@@ -24,6 +24,7 @@ from .objective import (
 )
 
 CKP_TOL = 1e-12
+MAX_ASSIGNMENT_ARRIVALS = 12
 
 
 def brute_force_opt(
@@ -70,6 +71,58 @@ def prefix_optima(
     return out
 
 
+def assignment_prefix_optima(agents, arrival_order: List[str]) -> List[object]:
+    """Optimal assignment of every arrival prefix to the agents (or to nobody).
+
+    Each agent is an (objective, matroid) pair.  One subset DP runs over all
+    arrivals with bit i standing for the i-th arrival, so the optimum of
+    prefix i sits at mask (1 << (i + 1)) - 1.
+    """
+    n = len(arrival_order)
+    if n > MAX_ASSIGNMENT_ARRIVALS:
+        raise ObjectiveError(
+            f"assignment optimum limited to {MAX_ASSIGNMENT_ARRIVALS} arrivals"
+        )
+    index = {u: i for i, u in enumerate(arrival_order)}
+
+    def best_table(f, m):
+        # best independent-subset value inside every subset mask
+        vals = [None] * (1 << n)
+        for s in m.enumerate_independent_sets(frozenset(arrival_order)):
+            mask = sum(1 << index[u] for u in s)
+            v = f.value(s)
+            if vals[mask] is None or v > vals[mask]:
+                vals[mask] = v
+        out = [f.value(frozenset())] * (1 << n)
+        for mask in range(1 << n):
+            if vals[mask] is not None and vals[mask] > out[mask]:
+                out[mask] = vals[mask]
+            for b in range(n):
+                if mask >> b & 1:
+                    prev = out[mask ^ (1 << b)]
+                    if prev > out[mask]:
+                        out[mask] = prev
+        return out
+
+    tables = [best_table(f, m) for f, m in agents]
+    best = tables[0]
+    for table in tables[1:]:
+        nxt = [None] * (1 << n)
+        for mask in range(1 << n):
+            sub = mask
+            acc = None
+            while True:
+                cand = best[mask ^ sub] + table[sub]
+                if acc is None or cand > acc:
+                    acc = cand
+                if sub == 0:
+                    break
+                sub = (sub - 1) & mask
+            nxt[mask] = acc
+        best = nxt
+    return [best[(1 << (i + 1)) - 1] for i in range(n)]
+
+
 def check_ckp_domination(g: ExplicitTable, n: int, k: int) -> Tuple[bool, Dict[str, float]]:
     """Exact comparison of k-subset sampling against independent p=k/n sampling.
 
@@ -107,31 +160,6 @@ def check_f_vs_fhat(
     )
     slack = rhs - lhs
     return slack >= -1e-9, slack
-
-
-def expected_union_thinned_value(objective, a, b, p, q):
-    """Exact E[f(I_p(a) union I_q(b))]; thinnings are independent per element."""
-    a, b = frozenset(a), frozenset(b)
-    include = {}
-    for el in sorted(a | b):
-        pa = p if el in a else 0.0
-        pb = q if el in b else 0.0
-        include[el] = 1 - (1 - pa) * (1 - pb)
-    pool = [el for el in include if include[el] > 0]
-    if len(pool) > 15:
-        raise ObjectiveError("union support too large for exact mode")
-    total = 0.0
-    for mask in range(1 << len(pool)):
-        pr = 1.0
-        members = set()
-        for i, el in enumerate(pool):
-            if mask >> i & 1:
-                pr *= include[el]
-                members.add(el)
-            else:
-                pr *= 1 - include[el]
-        total += pr * objective.value(frozenset(members))
-    return total
 
 
 def greedy_optimality_gap(state) -> object:

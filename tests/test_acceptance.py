@@ -33,11 +33,12 @@ from subfree.algorithms import (
     step_general_matroid,
     step_k_uniform,
 )
-from subfree.cli import Instance, best_assignment_value, main as cli_main
+from subfree.cli import Instance, main as cli_main
 from subfree.fractional import FractionalState
 from subfree.matroid import PartitionMatroid, UniformMatroid
 from subfree.objective import sampled_value_p
 from subfree.oracle import (
+    assignment_prefix_optima,
     brute_force_opt,
     check_ckp_domination,
     prefix_optima,
@@ -350,7 +351,7 @@ def test_criterion_11_bipartite_assignment():
             for u in order:
                 step_bipartite(agents, u)
             total = sum(a.state.f_S() for a in agents)
-            opt = best_assignment_value(agent_specs, order)
+            opt = assignment_prefix_optima(agent_specs, order)[-1]
             assert total >= opt / (worst_alpha + 1) - RATIO_TOL * (1 + abs(opt))
 
 

@@ -475,3 +475,55 @@ def test_nonmono_uniform_expected_ratio_bound():
             run.step(u)
         _, opt = brute_force_opt(table, UniformMatroid(4), table.ground)
         assert run.expected_feasible_value() >= bound * opt - 1e-9
+
+
+# -- seeded samples against a fresh run ------------------------------------------
+
+
+def _nonmono_streams():
+    """Non-monotone tables, then escalating streams on which S evicts."""
+    from subfree.oracle import random_escalating_instance
+
+    for trial in range(6):
+        rng = random.Random(500 + trial)
+        table = random_submodular_table(rng, 7, monotone=False)
+        order = list(table.ground)
+        rng.shuffle(order)
+        yield table, order
+    for trial in range(6):
+        yield random_escalating_instance(random.Random(trial), 9)
+
+
+def _fresh_run(make, order, seed):
+    """The definitional path: a new run with this seed replays the stream."""
+    run = make(seed)
+    for u in order:
+        run.step(u)
+    return run
+
+
+def _assert_samples_match_fresh_runs(make, order):
+    run = _fresh_run(make, order, 0)
+    for seed in range(8):
+        assert run.sample_with_seed(seed) == _fresh_run(make, order, seed).feasible_set()
+    return len(run.state.history) - len(run.state.feasible)
+
+
+def test_nonmono_general_seeded_sample_matches_fresh_run():
+    evictions = 0
+    for f, order in _nonmono_streams():
+        halves = PartitionMatroid({u: f"p{i % 2}" for i, u in enumerate(sorted(order))},
+                                  {"p0": 1, "p1": 2})
+        for m in (UniformMatroid(2), halves):
+            evictions += _assert_samples_match_fresh_runs(
+                lambda s: NonmonotoneGeneralRun(f, m, seed=s), order)
+    assert evictions > 10
+
+
+def test_nonmono_uniform_seeded_sample_matches_fresh_run():
+    evictions = 0
+    for f, order in _nonmono_streams():
+        for k in (1, 2):
+            evictions += _assert_samples_match_fresh_runs(
+                lambda s: NonmonotoneUniformRun(f, k=k, seed=s), order)
+    assert evictions > 10

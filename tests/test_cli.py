@@ -12,7 +12,6 @@ from subfree.cli import (
     EXIT_VIOLATION,
     Instance,
     InstanceError,
-    best_assignment_value,
     main,
     matroid_from_json,
     matroid_to_json,
@@ -21,7 +20,7 @@ from subfree.cli import (
 )
 from subfree.matroid import PartitionMatroid, UniformMatroid
 from subfree.objective import Linear
-from subfree.oracle import random_instance
+from subfree.oracle import assignment_prefix_optima, random_instance
 from subfree.tracker import InvariantViolation
 
 from conftest import random_coverage
@@ -274,11 +273,27 @@ def test_run_bipartite_instance(tmp_path):
     assert final["ratio"] is None or final["ratio"] >= 1 / 5 - 1e-9
 
 
+def test_run_bipartite_beyond_assignment_limit_skips_reference(tmp_path, capsys):
+    order = [f"e{i:02d}" for i in range(13)]
+    agents = [(Linear({u: float(i + 1) for i, u in enumerate(order)}), UniformMatroid(2)),
+              (Linear({u: float(13 - i) for i, u in enumerate(order)}), UniformMatroid(2))]
+    path = write_instance(tmp_path, Instance(order, agents=agents))
+    argv = ["run", "--alg", "bipartite", "--instance", path]
+    code, text = run_main(argv)
+    assert code == EXIT_OK
+    lines = [json.loads(l) for l in text.splitlines()]
+    assert len(lines) == 14 and lines[-1]["opt"] is None
+    assert all("opt_prefix" not in rec for rec in lines[:-1])
+    code, _ = run_main(argv + ["--check-every-round"])
+    assert code == EXIT_INSTANCE
+    assert "assignment optimum limited to 12 arrivals" in capsys.readouterr().err
+
+
 def test_best_assignment_value_two_agents():
     f1 = Linear({"u": 3, "v": 1})
     f2 = Linear({"u": 2, "v": 2})
     agents = [(f1, UniformMatroid(1)), (f2, UniformMatroid(1))]
-    assert best_assignment_value(agents, ["u", "v"]) == 5  # u->1, v->2
+    assert assignment_prefix_optima(agents, ["u", "v"]) == [3, 5]  # u->1, v->2
 
 
 def test_run_out_flag_writes_file(tmp_path, rng):

@@ -10,7 +10,6 @@ from subfree.oracle import (
     brute_force_opt,
     check_ckp_domination,
     check_f_vs_fhat,
-    expected_union_thinned_value,
     prefix_optima,
     random_instance,
     random_submodular_table,
@@ -125,18 +124,6 @@ def test_f_vs_fhat_random_sweep():
         masses = {u: rng.uniform(0, 2) for u in rng.sample(ground, rng.randint(0, 4))}
         ok, _ = check_f_vs_fhat(table, opt, masses)
         assert ok
-
-
-def test_expected_union_thinned_extremes(rng):
-    table = coverage_as_table(random_coverage(rng, 4))
-    ground = sorted(table.ground)
-    a, b = frozenset(ground[:2]), frozenset(ground[2:])
-    assert expected_union_thinned_value(table, a, b, 1, 1) == pytest.approx(
-        table.value(a | b)
-    )
-    assert expected_union_thinned_value(table, a, b, 0, 0) == pytest.approx(
-        table.value(frozenset())
-    )
 
 
 def test_random_submodular_table_flags(rng):
