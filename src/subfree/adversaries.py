@@ -19,6 +19,11 @@ Families:
   b_{i+1} - (alpha^2 - alpha + 1) b_i + alpha^2 b_{i-1} = 0; the driver
   terminates early whenever the algorithm's visible choices allow it.
 
+Each driver writes its stream as one generator, ``_elements``: it yields an
+element, receives the algorithm's visible set after that element was
+offered, and returns the ``Stop``; ``AdversaryDriver.next_element`` starts
+the generator on the first call and sends it each later visible set.
+
 Weight recurrences run in exact rational arithmetic: the sign of the first
 negative term decides termination, and the designed ratio equalities must
 survive thousands of additions untouched.
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Generator, List, Optional
 
 from .matroid import PartitionMatroid, UniformMatroid
 from .objective import IntervalCoverage, WeightedCoverage
@@ -55,24 +60,42 @@ class AdversaryOutcome:
 
 
 class AdversaryDriver:
-    """Stateful emitter; call ``next_element`` with the current visible set."""
+    """Stateful emitter; call ``next_element`` with the current visible set.
+
+    Subclasses write their stream as the generator ``_elements`` (see the
+    module docstring for the protocol).
+    """
 
     objective = None
     matroid = None
     range_warning: Optional[str] = None
+    terminated: Optional[Stop] = None
+    _opt = Fraction(0)
+    _stream = None
+
+    def _elements(self) -> Generator[str, frozenset, Stop]:
+        raise NotImplementedError
 
     def next_element(self, visible: frozenset):
-        raise NotImplementedError
+        if self.terminated:
+            raise RuntimeError("driver already terminated")
+        try:
+            if self._stream is None:
+                self._stream = self._elements()
+                return next(self._stream)
+            return self._stream.send(visible)
+        except StopIteration as done:
+            self.terminated = done.value
+            return done.value
 
     def current_opt(self):
-        raise NotImplementedError
+        return self._opt
 
     def _stop(self, reason: str, visible: frozenset) -> Stop:
         opt = self.current_opt()
         val = self.objective.value(visible)
         ratio = None if opt <= 0 else Fraction(val) / Fraction(opt)
-        self.terminated = Stop(reason, ratio=ratio, opt=opt, algorithm_value=val)
-        return self.terminated
+        return Stop(reason, ratio=ratio, opt=opt, algorithm_value=val)
 
 
 def monotone_weight_sequence(alpha: Fraction, cap: int = PHASE_CAP) -> List[Fraction]:
@@ -109,14 +132,13 @@ def general_weight_sequences(alpha: Fraction, cap: int = PHASE_CAP):
 class PartitionMonotoneDriver(AdversaryDriver):
     """Contested part 0 plus one private part per phase, capacity 1 each."""
 
-    def __init__(self, alpha, phase_cap: int = PHASE_CAP):
+    def __init__(self, alpha):
         self.alpha = Fraction(alpha)
         if not 1 <= self.alpha < 4:
             self.range_warning = f"alpha={alpha} outside [1, 4); no forced-failure guarantee"
-        self.weights = monotone_weight_sequence(self.alpha, phase_cap)
+        self.weights = monotone_weight_sequence(self.alpha)
         # phases run while the weight stays nonnegative
         self.n_phases = len(self.weights) - 1 if self.weights[-1] < 0 else len(self.weights)
-        self.terminated: Optional[Stop] = None
         items = {f"x{i}": self.weights[i - 1] for i in range(1, self.n_phases + 1)}
         covers = {}
         part_of = {}
@@ -128,49 +150,28 @@ class PartitionMonotoneDriver(AdversaryDriver):
         capacity = {str(p): 1 for p in range(self.n_phases + 1)}
         self.objective = WeightedCoverage(items, covers)
         self.matroid = PartitionMatroid(part_of, capacity)
-        self.i = 1
-        self.stage = "emit_contested"
-        self._opt = Fraction(0)
 
-    def current_opt(self):
-        return self._opt
-
-    def next_element(self, visible: frozenset):
-        if self.terminated:
-            raise RuntimeError("driver already terminated")
-        if self.stage == "emit_contested":
-            self._opt += self.weights[self.i - 1]
-            self.stage = "check_contested"
-            return f"x{self.i}|0"
-        if self.stage == "check_contested":
-            if f"x{self.i}|0" not in visible:
+    def _elements(self):
+        for i in range(1, self.n_phases + 1):
+            self._opt += self.weights[i - 1]
+            visible = yield f"x{i}|0"
+            if f"x{i}|0" not in visible:
                 return self._stop("declined-contested", visible)
-            self.stage = "advance"
-            return f"x{self.i}|{self.i}"
-        if self.stage == "advance":
-            if self.i == self.n_phases:
-                reason = (
-                    "next-weight-negative" if self.weights[-1] < 0 else "phase-cap"
-                )
-                return self._stop(reason, visible)
-            self.i += 1
-            self._opt += self.weights[self.i - 1]
-            self.stage = "check_contested"
-            return f"x{self.i}|0"
-        raise AssertionError(self.stage)
+            visible = yield f"x{i}|{i}"
+        reason = "next-weight-negative" if self.weights[-1] < 0 else "phase-cap"
+        return self._stop(reason, visible)
 
 
 class PartitionGeneralDriver(AdversaryDriver):
     """Two same-weight copies in part 0, then pair/echo parts 2i-1 and 2i."""
 
-    def __init__(self, alpha, phase_cap: int = PHASE_CAP):
+    def __init__(self, alpha):
         self.alpha = Fraction(alpha)
         if not 1 <= self.alpha or self.alpha * self.alpha - 3 * self.alpha + 1 >= 0:
             self.range_warning = (
                 f"alpha={alpha} outside [1, (3+sqrt(5))/2); no forced-failure guarantee"
             )
-        self.a, self.b = general_weight_sequences(self.alpha, phase_cap)
-        self.terminated: Optional[Stop] = None
+        self.a, self.b = general_weight_sequences(self.alpha)
         items: Dict[str, Fraction] = {}
         covers: Dict[str, set] = {}
         part_of: Dict[str, str] = {}
@@ -192,71 +193,37 @@ class PartitionGeneralDriver(AdversaryDriver):
         capacity = {str(p): 1 for p in range(2 * len(self.a) + 1)}
         self.objective = WeightedCoverage(items, covers)
         self.matroid = PartitionMatroid(part_of, capacity)
-        self.i = 1
-        self.stage = "emit_copy_a"
-        self._base = Fraction(0)  # sum over finished phases of a_j + b_j
-        self._opt = Fraction(0)
-        self.chosen: Dict[int, str] = {}
 
-    def current_opt(self):
-        return self._opt
-
-    def _b(self, i: int) -> Optional[Fraction]:
-        return self.b[i - 1] if i <= len(self.b) else None
-
-    def next_element(self, visible: frozenset):
-        if self.terminated:
-            raise RuntimeError("driver already terminated")
-        i = self.i
-        ai = self.a[i - 1]
-        if self.stage == "emit_copy_a":
-            self._opt = self._base + ai
-            self.stage = "emit_copy_b"
-            return f"x{i}a|0"
-        if self.stage == "emit_copy_b":
-            self.stage = "check_copies"
-            return f"x{i}b|0"
-        if self.stage == "check_copies":
+    def _elements(self):
+        base = Fraction(0)  # sum over finished phases of a_j + b_j
+        for i, ai in enumerate(self.a, 1):
+            pair, echo = 2 * i - 1, 2 * i
+            self._opt = base + ai
+            yield f"x{i}a|0"
+            visible = yield f"x{i}b|0"
             held = [c for c in ("a", "b") if f"x{i}{c}|0" in visible]
             if not held:
                 return self._stop("declined-contested", visible)
-            self.chosen[i] = held[0]
-            bi = self._b(i)
-            if bi is None:
+            copy = f"x{i}{held[0]}"
+            if i > len(self.b):
                 return self._stop("phase-cap", visible)
+            bi = self.b[i - 1]
             if bi <= 0:
-                self.stage = "stop_after_echo"
-                self._opt = self._base + 2 * ai
-                return f"x{i}{held[0]}|{2 * i - 1}"
-            self.stage = "emit_pair_item"
-            self._opt = self._base + ai + bi
-            return f"y{i}|{2 * i - 1}"
-        if self.stage == "emit_pair_item":
-            self.stage = "check_pair"
-            self._opt = self._base + ai + max(ai, self._b(i))
-            return f"x{i}{self.chosen[i]}|{2 * i - 1}"
-        if self.stage == "check_pair":
-            pair_part = str(2 * i - 1)
-            holder = None
-            for c in (f"y{i}|{pair_part}", f"x{i}{self.chosen[i]}|{pair_part}"):
-                if c in visible:
-                    holder = c
-            self._opt = self._base + 2 * ai + self._b(i)
-            if holder == f"y{i}|{pair_part}":
-                self.stage = "advance"
-                return f"y{i}|{2 * i}"
-            self.stage = "stop_after_echo"
-            return f"x{i}{self.chosen[i]}|{2 * i}"
-        if self.stage == "stop_after_echo":
+                self._opt = base + 2 * ai
+                visible = yield f"{copy}|{pair}"
+                return self._stop("forced-ratio", visible)
+            self._opt = base + ai + bi
+            yield f"y{i}|{pair}"
+            self._opt = base + ai + max(ai, bi)
+            visible = yield f"{copy}|{pair}"
+            self._opt = base + 2 * ai + bi
+            if f"y{i}|{pair}" in visible and f"{copy}|{pair}" not in visible:
+                visible = yield f"y{i}|{echo}"
+                base += ai + bi
+                continue
+            visible = yield f"{copy}|{echo}"
             return self._stop("forced-ratio", visible)
-        if self.stage == "advance":
-            if i + 1 > len(self.a):
-                return self._stop("phase-cap", visible)
-            self._base += ai + self._b(i)
-            self.i += 1
-            self.stage = "emit_copy_a"
-            return self.next_element(visible)
-        raise AssertionError(self.stage)
+        return self._stop("phase-cap", visible)
 
 
 class UniformHardnessDriver(AdversaryDriver):
@@ -278,13 +245,8 @@ class UniformHardnessDriver(AdversaryDriver):
             raise ValueError("delta * k must be at least 1 (no phases otherwise)")
         self.objective = IntervalCoverage(self.epsilon, {})
         self.matroid = UniformMatroid(k)
-        self.terminated: Optional[Stop] = None
-        self.i = 1
-        self.j = 0  # intervals emitted in the current phase
-        self.union_pending = False
         self.union_taken: List[str] = []
         self.kept_value = Fraction(0)  # sum over finished phases of x_j w_j
-        self._opt = Fraction(0)
         self.x: List[Fraction] = []
 
     def cell_id(self, i: int, j: int) -> str:
@@ -294,56 +256,33 @@ class UniformHardnessDriver(AdversaryDriver):
         # value of one phase-i interval: 2 * (1/2k) * (1-eps)^-i
         return self.objective.cell_weight(i) / self.k
 
-    def current_opt(self):
-        return self._opt
-
-    def _raise_opt(self, candidate: Fraction) -> None:
-        if candidate > self._opt:
-            self._opt = candidate
-
-    def next_element(self, visible: frozenset):
-        if self.terminated:
-            raise RuntimeError("driver already terminated")
-        i = self.i
-        if self.union_pending:
+    def _elements(self):
+        k = self.k
+        for i in range(1, self.phases + 1):
+            w = self.cell_weight(i)
+            # step (a): 2k thin intervals tiling [i-1, i)
+            for j in range(1, 2 * k + 1):
+                el = self.cell_id(i, j)
+                lo = Fraction(i - 1) + Fraction(j - 1, 2 * k)
+                hi = Fraction(i - 1) + Fraction(j, 2 * k)
+                self.objective.register(el, [(lo, hi)])
+                fresh = min(j, k - (i - 1))
+                self._opt = max(self._opt, self.kept_value + fresh * w)
+                visible = yield el
+            # step (b): the union of the kept intervals
+            kept = [self.cell_id(i, j) for j in range(1, 2 * k + 1)
+                    if self.cell_id(i, j) in visible]
+            self.x.append(Fraction(len(kept), k))
+            if not kept:
+                continue
             union_id = f"p{i}.union"
+            self.objective.register(union_id, [iv for c in kept for iv in self.objective.covers[c]])
+            self.kept_value += len(kept) * w
+            self._opt = max(self._opt, self.kept_value + (k - i) * w)
+            visible = yield union_id
             if union_id in visible:
                 self.union_taken.append(union_id)
-            self.union_pending = False
-            if i == self.phases:
-                return self._stop("phases-exhausted", visible)
-            self.i += 1
-            self.j = 0
-            return self.next_element(visible)
-        if self.j < 2 * self.k:
-            self.j += 1
-            lo = Fraction(i - 1) + Fraction(self.j - 1, 2 * self.k)
-            hi = Fraction(i - 1) + Fraction(self.j, 2 * self.k)
-            el = self.cell_id(i, self.j)
-            self.objective.register(el, [(lo, hi)])
-            fresh = min(self.j, self.k - (i - 1))
-            self._raise_opt(self.kept_value + fresh * self.cell_weight(i))
-            return el
-        # end of step (a): form the union of the kept intervals
-        kept = [
-            self.cell_id(i, j)
-            for j in range(1, 2 * self.k + 1)
-            if self.cell_id(i, j) in visible
-        ]
-        self.x.append(Fraction(len(kept), self.k))
-        if not kept:
-            if i == self.phases:
-                return self._stop("phases-exhausted", visible)
-            self.i += 1
-            self.j = 0
-            return self.next_element(visible)
-        union_id = f"p{i}.union"
-        intervals = [iv for c in kept for iv in self.objective.covers[c]]
-        self.objective.register(union_id, intervals)
-        self.kept_value += len(kept) * self.cell_weight(i)
-        self._raise_opt(self.kept_value + (self.k - i) * self.cell_weight(i))
-        self.union_pending = True
-        return union_id
+        return self._stop("phases-exhausted", visible)
 
 
 def run_adversary(
@@ -384,12 +323,11 @@ def run_adversary(
     return AdversaryOutcome(stop=stop, min_ratio=min_ratio, min_round=min_round, rounds=rounds)
 
 
-def make_driver(family: str, alpha, *, epsilon=None, delta=None, k=None,
-                phase_cap: int = PHASE_CAP) -> AdversaryDriver:
+def make_driver(family: str, alpha, *, epsilon=None, delta=None, k=None) -> AdversaryDriver:
     if family == "partition-monotone":
-        return PartitionMonotoneDriver(alpha, phase_cap)
+        return PartitionMonotoneDriver(alpha)
     if family == "partition-general":
-        return PartitionGeneralDriver(alpha, phase_cap)
+        return PartitionGeneralDriver(alpha)
     if family == "uniform":
         if epsilon is None or delta is None or k is None:
             raise ValueError("the uniform family needs epsilon, delta and k")

@@ -307,17 +307,16 @@ class NonmonotoneGeneralRun:
     """
 
     def __init__(self, objective: Objective, matroid, seed: int = 0,
-                 coin: Optional[Callable[[], int]] = None, c=2):
+                 coin: Optional[Callable[[], int]] = None):
         self.f = objective
         self.g = ThinnedObjective(objective, 0.5)
         self.state = OnlineState(self.g, matroid)
-        self.c = c
         self._rng = random.Random(seed)
         self.coin = coin or (lambda: self._rng.getrandbits(1))
         self.coins: Dict[str, int] = {}
 
     def step(self, u: str) -> Decision:
-        d = propose_general_matroid(self.state, u, self.c, view=ARRIVAL)
+        d = propose_general_matroid(self.state, u, view=ARRIVAL)
         if d.accepted:
             _commit(self.state, d, strict_monotone=False)
             self.coins[u] = self.coin()
@@ -349,12 +348,10 @@ class NonmonotoneUniformRun:
     uniformly pre-sampled slot per block.
     """
 
-    def __init__(self, objective: Objective, k: int, seed: int = 0, rho: int = 3):
-        if rho != 3:
-            raise ValueError("the blown-up capacity rule is tuned for rho=3")
+    def __init__(self, objective: Objective, k: int, seed: int = 0):
         self.f = objective
         self.k = k
-        self.rho = rho
+        self.rho = rho = 3
         self.alpha = solve_alpha(k, rho=rho)
         self.g = ThinnedObjective(objective, 1.0 / rho)
         self.state = OnlineState(self.g, UniformMatroid(rho * k))

@@ -50,7 +50,6 @@ class FractionalState:
         matroid: PartitionMatroid,
         delta=None,
         seed: int = 0,
-        alpha_value: Optional[float] = None,
     ):
         from .algorithms import solve_alpha  # local import avoids a cycle
 
@@ -63,7 +62,7 @@ class FractionalState:
         self.delta = _as_exact(delta)
         if self.delta <= 0 or (1 / self.delta).denominator != 1:
             raise ValueError("delta must be positive with integral 1/delta")
-        self.alpha = alpha_value if alpha_value is not None else solve_alpha("inf").value
+        self.alpha = solve_alpha("inf").value
         self.parts = dict(matroid.capacity)
         self.slots_per_part = {
             l: int(cap / self.delta) for l, cap in self.parts.items()
@@ -77,11 +76,7 @@ class FractionalState:
         self.w_hist: Dict[str, float] = {l: 0.0 for l in self.parts}
         self._max_unit_w: Dict[str, float] = {l: 0.0 for l in self.parts}
         self._seq = 0
-        rng = random.Random(seed)
-        self.z_points: Dict[str, List[float]] = {
-            l: [cap * (1.0 - rng.random()) for _ in range(cap)]
-            for l, cap in self.parts.items()
-        }
+        self.z_points = self._draw_points(seed)
 
     # -- mass views -------------------------------------------------------
 
@@ -178,11 +173,13 @@ class FractionalState:
                     chosen.add(unit.element)
         return frozenset(chosen)
 
-    def round_with_seed(self, seed: int) -> frozenset:
+    def _draw_points(self, seed: int) -> Dict[str, List[float]]:
         rng = random.Random(seed)
-        pts = {
+        return {
             l: [cap * (1.0 - rng.random()) for _ in range(cap)]
             for l, cap in self.parts.items()
         }
-        return self.round_online(pts)
+
+    def round_with_seed(self, seed: int) -> frozenset:
+        return self.round_online(self._draw_points(seed))
 

@@ -337,10 +337,6 @@ class ExplicitTable(Objective):
         self._validate_submodular()
         self.monotone = self._check_monotone()
 
-    @classmethod
-    def from_sets(cls, ground: Sequence[str], table: Mapping[FrozenSet[str], object]) -> "ExplicitTable":
-        return cls(ground, {subset_key(s): v for s, v in table.items()})
-
     def _validate_submodular(self) -> None:
         ground = self.ground
         for t in self._table:

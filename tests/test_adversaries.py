@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from subfree.adversaries import (
     run_adversary,
 )
 from subfree.algorithms import solve_alpha, step_best_singleton, step_general_matroid, step_k_uniform
-from subfree.oracle import brute_force_opt
+from subfree.oracle import brute_force_opt, prefix_optima
 from subfree.tracker import InvariantViolation, OnlineState
 
 
@@ -248,3 +249,49 @@ def test_make_driver_dispatch():
         make_driver("uniform", 3)
     with pytest.raises(ValueError):
         make_driver("nope", 3)
+
+
+# -- every family under random feasible policies ----------------------------------
+
+
+def _random_policy(seed):
+    """Accept u when it fits; otherwise swap it for a random exchange
+    candidate or decline it, on a coin."""
+    rng = random.Random(seed)
+
+    def step(state, u):
+        if state.matroid.is_independent(state.feasible | {u}):
+            state.accept(u)
+            return
+        candidates = sorted(state.matroid.exchange_set(state.feasible, u))
+        if candidates and rng.random() < 0.5:
+            state.accept(u, rng.choice(candidates))
+
+    return step
+
+
+@pytest.mark.parametrize("make, exact", [
+    (lambda: PartitionMonotoneDriver(Fraction(3)), True),
+    (lambda: PartitionGeneralDriver(Fraction(5, 2)), True),
+    (lambda: UniformHardnessDriver(Fraction(3), Fraction(1, 4), Fraction(1, 2), 4), False),
+])
+def test_driver_opt_under_random_policies(make, exact):
+    unions_taken = 0
+    for seed in range(60):
+        driver = make()
+        step = _random_policy(seed)
+        state = OnlineState(driver.objective, driver.matroid)
+        arrived, opts = [], []
+        while not isinstance(nxt := driver.next_element(frozenset(state.feasible)), Stop):
+            arrived.append(nxt)
+            step(state, nxt)
+            opts.append(driver.current_opt())
+        assert driver.terminated is nxt
+        with pytest.raises(RuntimeError, match="already terminated"):
+            driver.next_element(frozenset(state.feasible))
+        # one enumeration sweep; agrees with brute_force_opt on every prefix
+        best = prefix_optima(driver.objective, driver.matroid, arrived)
+        assert all(o == b if exact else o <= b for o, b in zip(opts, best))
+        unions_taken += len(getattr(driver, "union_taken", ()))
+    if isinstance(driver, UniformHardnessDriver):
+        assert unions_taken > 0  # some policy kept a phase's union
