@@ -191,7 +191,7 @@ def propose_general_matroid(st: OnlineState, u: str, c=2, view: str = CURRENT) -
     if view == CURRENT and not st.objective.monotone:
         raise ValueError("the exchange rule needs a monotone objective")
     w_u = st.w_arrival(u)
-    if st.matroid.is_independent(st.feasible | {u}):
+    if st.matroid.can_add(st.feasible, u):
         return Decision(u, w_u > 0, w_u=w_u)
     swap = st.matroid.exchange_set(st.feasible, u)
     if not swap:

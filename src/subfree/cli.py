@@ -275,6 +275,8 @@ class Instance:
             return cls.from_json(json.loads(text))
         except json.JSONDecodeError as exc:
             raise InstanceError(f"invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise InstanceError("instance document is nested too deeply") from exc
 
     @classmethod
     def load(cls, path: str) -> "Instance":

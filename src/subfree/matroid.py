@@ -1,15 +1,21 @@
 """Independence structures: uniform, partition, and explicit small matroids.
 
-All three variants answer the same three queries: membership of a set in the
-independence family, the exchange candidates that would make room for a new
-element, and exhaustive enumeration of independent subsets of a small ground
-set (the reference optimum needs the last one).
+All three variants answer the same four queries: membership of a set in the
+independence family (``is_independent``), whether one more element fits
+(``can_add``), the exchange candidates that would make room for a new element
+(``exchange_set``), and exhaustive enumeration of independent subsets of a
+small ground set (the reference optimum needs the last one).
+
+``exchange_set`` is written once, on the base class.  ``UniformMatroid`` and
+``PartitionMatroid`` answer ``can_add`` and its blocking-members step natively,
+by a count and by the arriving element's part, without one independence test
+per member; ``ExplicitMatroid`` keeps the generic definitions.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List
 
 MAX_ENUM_GROUND = 20
 # Full exchange-axiom validation enumerates pairs of independent sets, so it
@@ -27,6 +33,10 @@ class Matroid:
     def is_independent(self, s: Iterable[str]) -> bool:
         raise NotImplementedError
 
+    def can_add(self, s: AbstractSet[str], u: str) -> bool:
+        """Whether ``s + u`` is independent."""
+        return self.is_independent(frozenset(s) | {u})
+
     def exchange_set(self, s: Iterable[str], u: str) -> FrozenSet[str]:
         """All members whose removal admits ``u``: {v in s : s - v + u independent}.
 
@@ -37,6 +47,12 @@ class Matroid:
             raise MatroidError("exchange_set requires an independent set")
         if u in s:
             raise MatroidError(f"element {u!r} is already in the set")
+        if self.can_add(s, u):
+            return s
+        return self._blocking_members(s, u)
+
+    def _blocking_members(self, s: FrozenSet[str], u: str) -> FrozenSet[str]:
+        """{v in s : s - v + u independent}, for an independent s with s + u dependent."""
         return frozenset(v for v in s if self.is_independent((s - {v}) | {u}))
 
     def enumerate_independent_sets(self, ground: Iterable[str]) -> List[FrozenSet[str]]:
@@ -70,6 +86,13 @@ class UniformMatroid(Matroid):
     def is_independent(self, s: Iterable[str]) -> bool:
         return len(frozenset(s)) <= self.k
 
+    def can_add(self, s: AbstractSet[str], u: str) -> bool:
+        return len(s) + (u not in s) <= self.k
+
+    def _blocking_members(self, s: FrozenSet[str], u: str) -> FrozenSet[str]:
+        # s is full, so removing any member makes room
+        return s
+
     def __repr__(self):
         return f"UniformMatroid(k={self.k})"
 
@@ -94,13 +117,24 @@ class PartitionMatroid(Matroid):
             raise MatroidError(f"element {u!r} has no part label") from None
 
     def is_independent(self, s: Iterable[str]) -> bool:
-        counts: Dict[str, int] = {}
-        for u in frozenset(s):
-            p = self.part(u)
+        return self._within_capacity(frozenset(s), {})
+
+    def can_add(self, s: AbstractSet[str], u: str) -> bool:
+        return self._within_capacity(s, {} if u in s else {self.part(u): 1})
+
+    def _within_capacity(self, s: AbstractSet[str], counts: Dict[str, int]) -> bool:
+        """Whether s, on top of the given per-part counts, stays within every cap."""
+        for v in s:
+            p = self.part(v)
             counts[p] = counts.get(p, 0) + 1
             if counts[p] > self.capacity[p]:
                 return False
         return True
+
+    def _blocking_members(self, s: FrozenSet[str], u: str) -> FrozenSet[str]:
+        # u's part is full in s; only a member of that part makes room
+        p = self.part_of[u]
+        return frozenset(v for v in s if self.part_of[v] == p)
 
     def __repr__(self):
         return f"PartitionMatroid(parts={len(self.capacity)})"

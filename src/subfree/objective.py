@@ -103,12 +103,13 @@ class WeightedCoverage(Objective):
         self.universe_weight = dict(universe_weight)
         self.covers = {el: frozenset(items) for el, items in covers.items()}
         for el, items in self.covers.items():
-            missing = items - self.universe_weight.keys()
+            missing = items.difference(self.universe_weight)
             if missing:
                 raise ObjectiveError(f"element {el!r} covers unknown items {sorted(missing)}")
+        self._elements = frozenset(self.covers)
 
     def elements(self) -> FrozenSet[str]:
-        return frozenset(self.covers)
+        return self._elements
 
     def value(self, s: Iterable[str]):
         s = _as_set(s)

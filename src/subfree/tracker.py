@@ -121,11 +121,8 @@ class OnlineState:
             raise TrackerError(f"element {u!r} was already accepted")
         if evict is not None and evict not in self.feasible:
             raise TrackerError(f"evict target {evict!r} is not in the feasible set")
-        target = set(self.feasible)
-        if evict is not None:
-            target.discard(evict)
-        target.add(u)
-        if not self.matroid.is_independent(target):
+        rest = self.feasible if evict is None else self.feasible - {evict}
+        if not self.matroid.can_add(rest, u):
             raise TrackerError(f"accepting {u!r} (evicting {evict!r}) violates independence")
 
         if evict is not None:

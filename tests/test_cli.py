@@ -317,6 +317,14 @@ def test_run_rejects_bad_instance(tmp_path):
     assert code2 == EXIT_INSTANCE
 
 
+def test_run_rejects_deeply_nested_instance(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, _ = run_main(["run", "--alg", "general", "--instance", str(path)])
+    assert code == EXIT_INSTANCE
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_adversary_alg_matroid_mismatch_exits_2():
     code, _ = run_main(
         ["adversary", "--family", "partition-monotone", "--alpha", "3.0",

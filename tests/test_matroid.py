@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from subfree.matroid import (
     ExplicitMatroid,
+    Matroid,
     MatroidError,
     PartitionMatroid,
     UniformMatroid,
@@ -17,6 +18,38 @@ def powerset(items):
     items = sorted(items)
     for r in range(len(items) + 1):
         yield from (frozenset(c) for c in combinations(items, r))
+
+
+class OpaqueMatroid(Matroid):
+    """Same independence family, answered only by the generic queries."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def is_independent(self, s):
+        return self.base.is_independent(s)
+
+
+def outcome(query, *args):
+    try:
+        return query(*args)
+    except MatroidError as exc:
+        return ("MatroidError", str(exc))
+
+
+def random_matroid(rng, ground):
+    kind = rng.choice(["uniform", "partition", "explicit"])
+    if kind == "uniform":
+        return UniformMatroid(rng.randint(1, len(ground)))
+    parts = [f"p{i}" for i in range(rng.randint(1, 3))]
+    m = PartitionMatroid(
+        {u: rng.choice(parts) for u in ground},
+        {p: rng.randint(1, 2) for p in parts},
+    )
+    if kind == "partition":
+        return m
+    sets = m.enumerate_independent_sets(ground)
+    return ExplicitMatroid(ground, [s for s in sets if not any(s < t for t in sets)])
 
 
 def test_uniform_membership():
@@ -170,3 +203,44 @@ def test_exchange_axiom_spot_check_partition():
         for t in sets:
             if len(s) < len(t):
                 assert any(m.is_independent(s | {v}) for v in t - s)
+
+
+def test_native_queries_match_generic_definition():
+    rng = random.Random(6)
+    kinds = set()
+    for _ in range(300):
+        ground = [f"e{i}" for i in range(rng.randint(1, 7))]
+        m = random_matroid(rng, ground)
+        kinds.add(type(m))
+        generic = OpaqueMatroid(m)
+        for _ in range(10):
+            # any subset of the ground: dependent ones and ones holding u too
+            s = frozenset(v for v in ground if rng.random() < 0.5)
+            u = rng.choice(ground)
+            for view in (s, set(s)):
+                assert outcome(m.can_add, view, u) == outcome(generic.can_add, view, u)
+                assert outcome(m.exchange_set, view, u) == outcome(generic.exchange_set, view, u)
+    assert kinds == {UniformMatroid, PartitionMatroid, ExplicitMatroid}
+
+
+ERROR_MATROIDS = {
+    "uniform": UniformMatroid(2),
+    "partition": PartitionMatroid({"a": "p", "b": "p", "c": "q", "d": "q"}, {"p": 1, "q": 1}),
+    "explicit": ExplicitMatroid("abcd", [{"a", "c"}, {"b", "c"}, {"a", "d"}, {"b", "d"}]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_MATROIDS))
+@pytest.mark.parametrize("s, u", [
+    ({"a"}, "a"),
+    ({"a", "b", "c"}, "d"),
+    ({"a"}, "z"),
+], ids=["u-in-s", "dependent-s", "unlabelled-u"])
+def test_native_query_errors_match_generic(name, s, u):
+    m = ERROR_MATROIDS[name]
+    generic = OpaqueMatroid(m)
+    for query in ("can_add", "exchange_set"):
+        assert outcome(getattr(m, query), s, u) == outcome(getattr(generic, query), s, u)
+    # every id is a valid element of a uniform matroid
+    raises = not (name == "uniform" and u == "z")
+    assert isinstance(outcome(m.exchange_set, s, u), tuple) == raises

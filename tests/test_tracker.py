@@ -115,6 +115,22 @@ def test_accept_validates_transition(rng):
         st.accept(b, evict=b)  # already in history
 
 
+def test_accept_checks_the_arrivals_part():
+    m = PartitionMatroid({"a": "p", "b": "q", "c": "p", "d": "p"}, {"p": 1, "q": 1})
+    st = OnlineState(Linear({"a": 1, "b": 2, "c": 3, "d": 4}), m)
+    st.accept("a")
+    st.accept("b")
+    with pytest.raises(TrackerError):
+        st.accept("c")  # part p is full
+    with pytest.raises(TrackerError):
+        st.accept("c", evict="b")  # b frees part q, not p
+    assert st.feasible == {"a", "b"} and st.history == ["a", "b"]
+    st.accept("c", evict="a")
+    assert st.feasible == {"b", "c"}
+    with pytest.raises(TrackerError):
+        st.accept("d", evict="b")
+
+
 def test_arrival_weights_telescope_to_f_A(rng):
     for trial in range(20):
         local = random.Random(100 + trial)
