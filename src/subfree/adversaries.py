@@ -276,7 +276,9 @@ class UniformHardnessDriver(AdversaryDriver):
             if not kept:
                 continue
             union_id = f"p{i}.union"
-            self.objective.register(union_id, [iv for c in kept for iv in self.objective.covers[c]])
+            self.objective.register(
+                union_id, [iv for c in kept for iv in self.objective.intervals(c)]
+            )
             self.kept_value += len(kept) * w
             self._opt = max(self._opt, self.kept_value + (k - i) * w)
             visible = yield union_id

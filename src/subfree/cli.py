@@ -119,23 +119,21 @@ def to_jsonable(x):
 
 
 def objective_to_json(f: Objective) -> dict:
-    if isinstance(f, WeightedCoverage):
-        return {
-            "kind": "weighted_coverage",
-            "universe_weight": {k: _num_to_json(v) for k, v in sorted(f.universe_weight.items())},
-            "covers": {el: sorted(items) for el, items in sorted(f.covers.items())},
-        }
-    if isinstance(f, Linear):
-        return {"kind": "linear", "weight": {k: _num_to_json(v) for k, v in sorted(f.weight.items())}}
     if isinstance(f, IntervalCoverage):
         return {
             "kind": "interval_coverage",
             "epsilon": _num_to_json(f.epsilon),
             "covers": {
-                el: [[_num_to_json(lo), _num_to_json(hi)] for lo, hi in ivs]
-                for el, ivs in sorted(f.covers.items())
+                el: [[_num_to_json(lo), _num_to_json(hi)] for lo, hi in f.intervals(el)]
+                for el in sorted(f.covers)
             },
         }
+    if isinstance(f, WeightedCoverage):
+        weight = {k: _num_to_json(v) for k, v in sorted(f.universe_weight.items())}
+        if isinstance(f, Linear):
+            return {"kind": "linear", "weight": weight}
+        covers = {el: sorted(items) for el, items in sorted(f.covers.items())}
+        return {"kind": "weighted_coverage", "universe_weight": weight, "covers": covers}
     if isinstance(f, ExplicitTable):
         return {
             "kind": "explicit_table",
@@ -170,7 +168,7 @@ def objective_from_json(spec: dict) -> Objective:
                 spec["ground"], {k: _num_from_json(v) for k, v in spec["value"].items()}
             )
         raise InstanceError(f"unknown objective kind {kind!r}")
-    except (KeyError, TypeError, ValueError, ObjectiveError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ObjectiveError) as exc:
         raise InstanceError(f"bad objective spec: {exc}") from exc
 
 

@@ -1,17 +1,24 @@
 """Submodular value oracles and their fractional extensions.
 
-Four concrete oracle families (weighted coverage, geometric interval
-coverage, explicit tables, linear weights) share one interface: ``value`` on
-a set, ``marginal`` of an element against a set, plus two hooks the online
-bookkeeping relies on for speed:
+Every oracle shares one interface: ``value`` on a set, ``marginal`` of an
+element against a set, plus two hooks the online bookkeeping relies on for
+speed:
 
 * ``interacts(u, v)`` - may removing ``v`` from a context change the
-  marginal of ``u``?  Conservative ``True`` is always sound; coverage
-  oracles answer exactly by overlap, linear oracles always answer ``False``.
+  marginal of ``u``?  Conservative ``True`` is always sound.
 * ``accumulator()`` - incremental marginals against a grow-only set.
 
-Interval coverage works in exact rational arithmetic end to end so that
-threshold comparisons on adversarial streams are tie-free by construction.
+Three families share one normal form, ``WeightedCoverage``: elements cover
+weighted items, and a set's value is the total weight of the items its
+members cover.  ``value``, ``interacts`` (do two elements share an item) and
+the accumulator are written once on that form; the other two families only
+build items.  ``Linear`` gives each element one private item of its weight.
+``IntervalCoverage`` uses the segments between consecutive interval
+endpoints, each weighing twice its exact density measure; its ``register``
+only appends, so no registered segment is ever cut.  Interval coverage works
+in exact rational arithmetic end to end so that threshold comparisons on
+adversarial streams are tie-free by construction.  Explicit tables and the
+p-thinned oracle keep the generic hooks.
 
 The module-level functions implement the fractional extensions: the
 exponential extension over nonnegative mass vectors (element ``u`` realized
@@ -29,6 +36,10 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
 EXACT_SUPPORT_LIMIT = 15
+
+# An interval endpoint x reaches unit cell ceil(x); endpoints beyond this cell,
+# or whose values would not fit a float, are rejected.
+MAX_INTERVAL_CELL = 1000
 
 # A mass vector over elements; absent keys mean zero mass.
 FractionalVector = Mapping[str, float]
@@ -94,7 +105,13 @@ class MarginalAccumulator:
 
 
 class WeightedCoverage(Objective):
-    """f(S) = total weight of the universe items covered by S."""
+    """f(S) = total weight of the universe items covered by S.
+
+    The normal form of every coverage family: ``universe_weight`` maps an
+    item to its weight and ``covers`` maps an element to its items.
+    """
+
+    zero = 0  # value of the empty set
 
     def __init__(self, universe_weight: Mapping[str, object], covers: Mapping[str, Iterable[str]]):
         for item, w in universe_weight.items():
@@ -106,10 +123,14 @@ class WeightedCoverage(Objective):
             missing = items.difference(self.universe_weight)
             if missing:
                 raise ObjectiveError(f"element {el!r} covers unknown items {sorted(missing)}")
-        self._elements = frozenset(self.covers)
 
     def elements(self) -> FrozenSet[str]:
-        return self._elements
+        return frozenset(self.covers)
+
+    def check_known(self, s: Iterable[str]) -> None:
+        # one membership test per member of s, without building elements()
+        if not self.covers.keys() >= _as_set(s):
+            super().check_known(s)
 
     def value(self, s: Iterable[str]):
         s = _as_set(s)
@@ -118,7 +139,7 @@ class WeightedCoverage(Objective):
         for el in s:
             covered |= self.covers[el]
         # sorted so float accumulation is independent of set iteration order
-        return sum(self.universe_weight[i] for i in sorted(covered))
+        return sum((self.universe_weight[i] for i in sorted(covered)), self.zero)
 
     def interacts(self, u: str, v: str) -> bool:
         return bool(self.covers[u] & self.covers[v])
@@ -133,50 +154,23 @@ class _CoverageAccumulator(MarginalAccumulator):
         self._covered: set = set()
 
     def marginal(self, u: str):
+        f = self._f
         return sum(
-            self._f.universe_weight[i]
-            for i in sorted(self._f.covers[u])
-            if i not in self._covered
+            (f.universe_weight[i] for i in sorted(f.covers[u]) if i not in self._covered), f.zero
         )
 
     def add(self, u: str) -> None:
         self._covered |= self._f.covers[u]
 
 
-class Linear(Objective):
-    """Additive weights; marginals never depend on the context."""
+class Linear(WeightedCoverage):
+    """Additive weights: each element covers one private item, its own id."""
 
     def __init__(self, weight: Mapping[str, object]):
         for el, w in weight.items():
             if w < 0:
                 raise ObjectiveError(f"element {el!r} has negative weight")
-        self.weight = dict(weight)
-
-    def elements(self) -> FrozenSet[str]:
-        return frozenset(self.weight)
-
-    def value(self, s: Iterable[str]):
-        s = _as_set(s)
-        self.check_known(s)
-        return sum(self.weight[el] for el in sorted(s))
-
-    def interacts(self, u: str, v: str) -> bool:
-        return False
-
-    def accumulator(self) -> "MarginalAccumulator":
-        return _LinearAccumulator(self)
-
-
-class _LinearAccumulator(MarginalAccumulator):
-    def __init__(self, objective: Linear):
-        self._f = objective
-        self._seen: set = set()
-
-    def marginal(self, u: str):
-        return 0 if u in self._seen else self._f.weight[u]
-
-    def add(self, u: str) -> None:
-        self._seen.add(u)
+        super().__init__(weight, {el: {el} for el in weight})
 
 
 def normalize_intervals(intervals: Iterable[Interval]) -> Tuple[Interval, ...]:
@@ -195,21 +189,35 @@ def normalize_intervals(intervals: Iterable[Interval]) -> Tuple[Interval, ...]:
     return tuple(out)
 
 
-class IntervalCoverage(Objective):
+class IntervalCoverage(WeightedCoverage):
     """Coverage of [0, inf) under a geometric step density.
 
     Unit cell ``[i-1, i)`` carries density ``(1 - eps)^(-i)`` and the value of
     a set is twice the density-weighted measure of the union of its members'
-    intervals.  All endpoint arithmetic is exact rational, so equal-by-design
-    values compare equal.
+    intervals.  The items are the segments between consecutive
+    ``breakpoints`` (every registered endpoint): item ``i`` is
+    ``[breakpoints[i], breakpoints[i+1])`` and weighs twice its measure, and
+    an element covers the set of its segments.  All endpoint arithmetic is
+    exact rational, so equal-by-design values compare equal.
     """
+
+    zero = Fraction(0)
 
     def __init__(self, epsilon, covers: Mapping[str, Iterable[Interval]]):
         self.epsilon = Fraction(epsilon)
         if not 0 < self.epsilon < 1:
             raise ObjectiveError("epsilon must lie in (0, 1)")
         self._cell_w: List[Fraction] = [Fraction(0)]  # cell i covers [i-1, i)
-        self.covers = {el: normalize_intervals(ivs) for el, ivs in covers.items()}
+        self._safe_cell = 0  # every cell up to this one passed _check_endpoint
+        self.breakpoints: List[Fraction] = []
+        self.universe_weight: List[Fraction] = []
+        self._weights: Dict[Fraction, Fraction] = {}  # each distinct segment weight once
+        merged = {el: normalize_intervals(ivs) for el, ivs in covers.items()}
+        self._append_breakpoints(sorted({x for ivs in merged.values() for iv in ivs for x in iv}))
+        self.covers = {
+            el: self._segments([self._index(x) for iv in ivs for x in iv])
+            for el, ivs in merged.items()
+        }
 
     def cell_weight(self, i: int) -> Fraction:
         # density on [i-1, i)
@@ -218,15 +226,69 @@ class IntervalCoverage(Objective):
             self._cell_w.append(base ** len(self._cell_w))
         return self._cell_w[i]
 
+    def _check_endpoint(self, x: Fraction) -> None:
+        cell = math.ceil(x)  # the last cell that [0, x) reaches
+        if cell <= self._safe_cell:
+            return
+        if cell > MAX_INTERVAL_CELL:
+            raise ObjectiveError(f"interval endpoint {x} lies beyond cell {MAX_INTERVAL_CELL}")
+        try:
+            # twice the measure of [0, cell) is below 2 (1-eps)^-cell / eps
+            float(2 * self.cell_weight(cell) / self.epsilon)
+        except OverflowError:
+            raise ObjectiveError(f"interval endpoint {x} gives values beyond float range") from None
+        self._safe_cell = cell
+
+    def _append_breakpoints(self, points: Sequence[Fraction]) -> None:
+        """Append ascending endpoints beyond the last breakpoint, with the
+        segments they close."""
+        for x in points:
+            self._check_endpoint(x)
+        for x in points:
+            if self.breakpoints:
+                # streams register thousands of equal segments; share their weight
+                w = 2 * self.weighted_measure([(self.breakpoints[-1], x)])
+                self.universe_weight.append(self._weights.setdefault(w, w))
+            self.breakpoints.append(x)
+
+    def _index(self, x: Fraction) -> int:
+        """Position of breakpoint x; any other point would cut a segment."""
+        bp = self.breakpoints
+        # an appended interval usually starts at the last breakpoint
+        i = len(bp) - 1 if x == bp[-1] else bisect_left(bp, x)
+        if i == len(bp) or bp[i] != x:
+            raise ObjectiveError(f"endpoint {x} would cut a registered segment")
+        return i
+
+    @staticmethod
+    def _segments(ends: Sequence[int]) -> FrozenSet[int]:
+        """The segments between each pair of interval end positions."""
+        return frozenset(i for lo, hi in zip(ends[::2], ends[1::2]) for i in range(lo, hi))
+
     def register(self, el: str, intervals: Iterable[Interval]) -> None:
         """Add an element id; used by adaptive stream generators that own
-        this instance exclusively.  Existing ids cannot be redefined."""
+        this instance exclusively.  Existing ids cannot be redefined, and
+        registration only appends: each endpoint must already be a
+        breakpoint or lie beyond the last one."""
         if el in self.covers:
             raise ObjectiveError(f"element {el!r} already registered")
-        self.covers[el] = normalize_intervals(intervals)
+        points = [x for iv in normalize_intervals(intervals) for x in iv]  # ascending
+        last = self.breakpoints[-1] if self.breakpoints else -1
+        ends = [self._index(x) for x in points if x <= last]
+        n = len(self.breakpoints)
+        self._append_breakpoints(points[len(ends):])
+        ends.extend(range(n, len(self.breakpoints)))
+        self.covers[el] = self._segments(ends)
 
-    def elements(self) -> FrozenSet[str]:
-        return frozenset(self.covers)
+    def intervals(self, el: str) -> Tuple[Interval, ...]:
+        """The element's intervals in normal form: its runs of consecutive segments."""
+        runs: List[List[int]] = []
+        for i in sorted(self.covers[el]):
+            if runs and runs[-1][1] == i:
+                runs[-1][1] = i + 1
+            else:
+                runs.append([i, i + 1])
+        return tuple((self.breakpoints[a], self.breakpoints[b]) for a, b in runs)
 
     def weighted_measure(self, intervals: Sequence[Interval]) -> Fraction:
         """Integral of the step density over disjoint sorted intervals."""
@@ -241,70 +303,6 @@ class IntervalCoverage(Objective):
                 pos = seg_hi
                 i += 1
         return total
-
-    def value(self, s: Iterable[str]):
-        s = _as_set(s)
-        self.check_known(s)
-        merged: List[Interval] = []
-        for el in s:
-            merged.extend(self.covers[el])
-        return 2 * self.weighted_measure(normalize_intervals(merged))
-
-    def interacts(self, u: str, v: str) -> bool:
-        a, b = self.covers[u], self.covers[v]
-        i = j = 0
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
-            if lo < hi:
-                return True
-            if a[i][1] <= b[j][1]:
-                i += 1
-            else:
-                j += 1
-        return False
-
-    def accumulator(self) -> "MarginalAccumulator":
-        return _IntervalAccumulator(self)
-
-
-class _IntervalAccumulator(MarginalAccumulator):
-    """Grow-only interval union with exact uncovered-measure queries."""
-
-    def __init__(self, objective: IntervalCoverage):
-        self._f = objective
-        self._starts: List[Fraction] = []
-        self._cover: List[Interval] = []
-
-    def _uncovered(self, lo: Fraction, hi: Fraction) -> List[Interval]:
-        out = []
-        idx = bisect_left(self._starts, lo)
-        if idx > 0 and self._cover[idx - 1][1] > lo:
-            idx -= 1
-        pos = lo
-        while pos < hi and idx < len(self._cover):
-            clo, chi = self._cover[idx]
-            if clo >= hi:
-                break
-            if clo > pos:
-                out.append((pos, clo))
-            pos = max(pos, chi)
-            idx += 1
-        if pos < hi:
-            out.append((pos, hi))
-        return out
-
-    def marginal(self, u: str):
-        gaps: List[Interval] = []
-        for lo, hi in self._f.covers[u]:
-            gaps.extend(self._uncovered(lo, hi))
-        return 2 * self._f.weighted_measure(gaps)
-
-    def add(self, u: str) -> None:
-        merged = list(self._cover)
-        merged.extend(self._f.covers[u])
-        self._cover = list(normalize_intervals(merged))
-        self._starts = [lo for lo, _ in self._cover]
 
 
 def subset_key(s: Iterable[str]) -> str:

@@ -325,6 +325,26 @@ def test_run_rejects_deeply_nested_instance(tmp_path, capsys):
     assert "nested too deeply" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("epsilon, covers, message", [
+    # at cell 2000 a value would overflow a float in the threshold test
+    ("1/2", {"a": [[0, 2000]], "b": [[1, 3]]}, "beyond cell 1000"),
+    # measuring 10^8 cells one at a time would not finish
+    ("1/1000000", {"a": [[0, 100000000]]}, "beyond cell 1000"),
+    # inside the cell bound, but (1 - 9/10)^-900 overflows a float
+    ("9/10", {"a": [[0, 900]]}, "beyond float range"),
+    # a JSON number too large for a float parses as infinity
+    ("1/2", {"a": [[0, float("inf")]]}, "cannot convert Infinity"),
+])
+def test_run_rejects_unbounded_interval_endpoints(tmp_path, capsys, epsilon, covers, message):
+    doc = {"arrival_order": sorted(covers), "matroid": {"kind": "uniform", "k": 1},
+           "objective": {"kind": "interval_coverage", "epsilon": epsilon, "covers": covers}}
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _ = run_main(["run", "--alg", "general", "--instance", str(path)])
+    assert code == EXIT_INSTANCE
+    assert message in capsys.readouterr().err
+
+
 def test_adversary_alg_matroid_mismatch_exits_2():
     code, _ = run_main(
         ["adversary", "--family", "partition-monotone", "--alpha", "3.0",

@@ -13,8 +13,8 @@ from fractions import Fraction
 from subfree.adversaries import UniformHardnessDriver, run_adversary
 from subfree.algorithms import solve_alpha, step_general_matroid, step_k_uniform
 from subfree.matroid import UniformMatroid
-from subfree.objective import Objective
-from subfree.oracle import random_escalating_instance, random_instance
+from subfree.objective import IntervalCoverage, Linear, Objective
+from subfree.oracle import random_escalating_instance, random_instance, random_matroid
 from subfree.tracker import OnlineState
 
 
@@ -77,3 +77,31 @@ def test_interval_hardness_paths_agree():
         return [(r["element"], r["f_S"], r["ratio"]) for r in out.rounds]
 
     assert run(True) == run(False)
+
+
+def test_exchange_rule_paths_agree_on_intervals():
+    for trial in range(20):
+        rng = random.Random(300 + trial)
+        covers = {}
+        for i in range(rng.randint(5, 9)):
+            ivs = []
+            for _ in range(rng.randint(1, 3)):
+                lo = Fraction(rng.randint(0, 16), rng.choice([1, 2, 4]))
+                ivs.append((lo, lo + Fraction(rng.randint(1, 8), rng.choice([1, 2, 3]))))
+            covers[f"e{i}"] = ivs
+        f = IntervalCoverage(Fraction(1, 5), covers)
+        order = sorted(covers)
+        rng.shuffle(order)
+        m = random_matroid(rng, sorted(covers))
+        trajectories_match(f, m, order, lambda st, u: step_general_matroid(st, u))
+
+
+def test_exchange_rule_paths_agree_on_linear():
+    for trial in range(20):
+        rng = random.Random(400 + trial)
+        # exact weights: with floats, w(u) and f(A + u) - f(A) may round apart
+        weights = {f"e{i}": Fraction(rng.randint(0, 12), rng.randint(1, 3)) for i in range(9)}
+        order = sorted(weights)
+        rng.shuffle(order)
+        m = random_matroid(rng, sorted(weights))
+        trajectories_match(Linear(weights), m, order, lambda st, u: step_general_matroid(st, u))

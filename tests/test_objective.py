@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subfree.objective import (
+    MAX_INTERVAL_CELL,
     ExplicitTable,
     IntervalCoverage,
     Linear,
@@ -143,6 +144,162 @@ def test_interval_register_refuses_redefine():
     assert f.value({"b"}) == 2 * 4
     with pytest.raises(ObjectiveError):
         f.register("a", [(0, 1)])
+
+
+# -- the coverage normal form against the interval definition ---------------
+
+
+def _random_intervals(rng, n):
+    """Overlapping, nested and cell-crossing intervals on [0, 36)."""
+    ivs = []
+    for _ in range(n):
+        lo = Fraction(rng.randint(0, 24), rng.choice([1, 2, 3, 4]))
+        hi = lo + Fraction(rng.randint(1, 12), rng.choice([1, 2, 4, 6]))
+        ivs.append((lo, hi))
+        if rng.random() < 0.3:  # nested inside the last one
+            ivs.append((lo + (hi - lo) / 3, hi - (hi - lo) / 4))
+    return ivs
+
+
+def _appendable_intervals(rng, f):
+    """Intervals whose endpoints are breakpoints or lie beyond the last one."""
+    last = f.breakpoints[-1] if f.breakpoints else Fraction(0)
+    pool = set(rng.sample(f.breakpoints, min(3, len(f.breakpoints))))
+    for _ in range(rng.randint(1, 3)):
+        pool.add(last + Fraction(rng.randint(1, 10), rng.choice([1, 2, 3])))
+    pool = sorted(pool)[len(pool) % 2 :]
+    return list(zip(pool[::2], pool[1::2]))
+
+
+class _IntervalReference:
+    """The definition the normal form must reproduce: twice the density
+    measure of the merged union, and overlap of positive length."""
+
+    def __init__(self, f, covers):
+        self.f, self.covers = f, covers
+
+    def value(self, s):
+        return 2 * self.f.weighted_measure(normalize_intervals(
+            [iv for el in s for iv in self.covers[el]]
+        ))
+
+    def overlaps(self, u, v):
+        return any(
+            max(a[0], b[0]) < min(a[1], b[1])
+            for a in self.covers[u] for b in self.covers[v]
+        )
+
+
+def _random_interval_instance(rng):
+    eps = rng.choice([Fraction(1, 20), Fraction(1, 3), Fraction(1, 2)])
+    covers = {f"e{i}": _random_intervals(rng, rng.randint(0, 3)) for i in range(rng.randint(2, 7))}
+    f = IntervalCoverage(eps, covers)
+    ref = _IntervalReference(f, dict(covers))
+    return f, ref
+
+
+def _register(rng, f, ref, el):
+    ivs = _appendable_intervals(rng, f)
+    if ref.covers and rng.random() < 0.4:  # a union of registered intervals
+        ivs += [iv for u in rng.sample(sorted(ref.covers), min(2, len(ref.covers)))
+                for iv in f.intervals(u)]
+    f.register(el, ivs)
+    ref.covers[el] = ivs
+
+
+def test_interval_normal_form_matches_definition():
+    for trial in range(60):
+        rng = random.Random(trial)
+        f, ref = _random_interval_instance(rng)
+        for j in range(rng.randint(0, 4)):
+            _register(rng, f, ref, f"r{j}")
+        ground = sorted(f.elements())
+        assert ground == sorted(ref.covers)
+        for el in ground:
+            assert f.intervals(el) == normalize_intervals(ref.covers[el])
+        for _ in range(20):
+            s = frozenset(rng.sample(ground, rng.randint(0, len(ground))))
+            value = f.value(s)
+            assert type(value) is Fraction and value == ref.value(s)
+            u = rng.choice(ground)
+            assert f.marginal(u, s) == ref.value(s | {u}) - ref.value(s)
+        for u in ground:
+            for v in ground:
+                if u != v:
+                    assert f.interacts(u, v) == ref.overlaps(u, v)
+
+
+def test_interval_accumulator_spans_register_calls():
+    for trial in range(40):
+        rng = random.Random(100 + trial)
+        f, ref = _random_interval_instance(rng)
+        acc, base = f.accumulator(), set()
+        assert type(acc.marginal(sorted(f.elements())[0])) is Fraction
+        for j in range(8):
+            if rng.random() < 0.5:
+                _register(rng, f, ref, f"r{j}")
+            pending = sorted(set(ref.covers) - base)
+            if not pending:
+                continue
+            for u in pending:
+                assert acc.marginal(u) == ref.value(base | {u}) - ref.value(base)
+            u = rng.choice(pending)
+            acc.add(u)
+            base.add(u)
+
+
+def test_interval_register_refuses_cuts():
+    f = IntervalCoverage(Fraction(1, 3), {"a": [(1, 2)], "b": [(Fraction(3, 2), 3)]})
+    for ivs in ([(Fraction(5, 4), 4)],  # inside the segment [1, 3/2)
+                [(Fraction(1, 2), 1)],  # below the first breakpoint
+                [(3, 5), (Fraction(7, 4), 3)]):  # one appended, one cutting [3/2, 2)
+        with pytest.raises(ObjectiveError, match="cut"):
+            f.register("c", ivs)
+    assert sorted(f.elements()) == ["a", "b"]
+    assert f.breakpoints == [1, Fraction(3, 2), 2, 3]
+    f.register("c", [(Fraction(3, 2), 5), (6, 7)])
+    assert f.intervals("c") == ((Fraction(3, 2), 5), (6, 7))
+    assert f.value({"a", "c"}) == 2 * f.weighted_measure([(1, 5), (6, 7)])
+
+
+def test_interval_endpoint_bound():
+    top = MAX_INTERVAL_CELL
+    f = IntervalCoverage(Fraction(1, 2), {"a": [(top - 1, top)]})
+    assert f.value({"a"}) == 2 * 2**top
+    with pytest.raises(ObjectiveError, match="beyond cell"):
+        IntervalCoverage(Fraction(1, 2), {"a": [(0, top + Fraction(1, 2))]})
+    with pytest.raises(ObjectiveError, match="beyond cell"):
+        f.register("b", [(top, top + 1)])
+    # density 10^i: the value of [0, 308) is about 2.2e308, past the largest float
+    with pytest.raises(ObjectiveError, match="float range"):
+        IntervalCoverage(Fraction(9, 10), {"a": [(0, 308)]})
+    g = IntervalCoverage(Fraction(9, 10), {"a": [(0, 300)]})
+    assert float(g.value({"a"})) < 1e302
+    with pytest.raises(ObjectiveError, match="float range"):
+        g.register("b", [(300, 310)])
+    assert sorted(g.elements()) == ["a"] and g.breakpoints == [0, 300]
+
+
+def test_linear_matches_sorted_sum():
+    rng = random.Random(7)
+    for weights in (
+        {f"e{i}": rng.uniform(0, 3) for i in range(9)},
+        {f"e{i}": rng.randint(0, 5) for i in range(9)},
+        {f"e{i}": Fraction(rng.randint(0, 9), rng.randint(1, 4)) for i in range(9)},
+    ):
+        f = Linear(weights)
+        ground = sorted(weights)
+        acc = f.accumulator()
+        rng.shuffle(ground)
+        for u in ground:
+            s = frozenset(rng.sample(ground, rng.randint(0, len(ground))))
+            value = f.value(s)
+            plain = sum(weights[el] for el in sorted(s))
+            assert type(value) is type(plain) and value == plain
+            assert acc.marginal(u) == weights[u]
+            assert not f.interacts(u, rng.choice([v for v in ground if v != u]))
+            acc.add(u)
+            assert acc.marginal(u) == 0
 
 
 # -- interaction and accumulator hooks --------------------------------------
