@@ -10,7 +10,9 @@ Families:
 * ``UniformHardnessDriver`` - interval-coverage phases against a k-uniform
   constraint: each phase floods 2k thin geometric-weight intervals, then
   offers the union of exactly the intervals the algorithm kept (worthless
-  to it, one cheap quota slot for the optimum).
+  to it, one cheap quota slot for the optimum).  The thin intervals are
+  disjoint, so the driver grows a plain ``WeightedCoverage``, one item per
+  thin interval, phase by phase.
 * ``PartitionMonotoneDriver`` - capacity-1 parts; phase i offers the item
   once in the contested part and once in a private part, with weights from
   sum_{j<=i+1} a_j = alpha * a_i, driven until the recurrence
@@ -36,7 +38,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Generator, List, Optional
 
 from .matroid import PartitionMatroid, UniformMatroid
-from .objective import IntervalCoverage, WeightedCoverage
+from .objective import FLOAT_MAX, WeightedCoverage
 from .tracker import InvariantViolation, OnlineState
 
 ALPHA_INF = 3.14619  # only used for range warnings
@@ -99,12 +101,15 @@ class AdversaryDriver:
 
 
 def monotone_weight_sequence(alpha: Fraction, cap: int = PHASE_CAP) -> List[Fraction]:
-    """a_1, a_2, ... up to and including the first negative term."""
+    """a_1, a_2, ... up to and including the first negative term, while the
+    total weight fits a float."""
     alpha = Fraction(alpha)
     seq = [Fraction(1)]
     total = Fraction(1)
     for _ in range(cap):
         nxt = alpha * seq[-1] - total
+        if total + nxt > FLOAT_MAX:
+            break
         seq.append(nxt)
         if nxt < 0:
             break
@@ -113,19 +118,23 @@ def monotone_weight_sequence(alpha: Fraction, cap: int = PHASE_CAP) -> List[Frac
 
 
 def general_weight_sequences(alpha: Fraction, cap: int = PHASE_CAP):
-    """(a_i, b_i) pairs up to and including the first nonpositive b."""
+    """(a_i, b_i) pairs up to and including the first nonpositive b, while
+    the total weight of the items (two copies of each a_i) fits a float."""
     alpha = Fraction(alpha)
     a = [Fraction(1)]
     b: List[Fraction] = []
     sum_a, sum_b = Fraction(1), Fraction(0)
     for _ in range(cap):
         bi = alpha * (a[-1] + sum_b) - (sum_a + a[-1] + sum_b)
+        next_a = a[-1] + alpha * bi
+        if bi > 0 and 2 * (sum_a + next_a) + sum_b + bi > FLOAT_MAX:
+            break
         b.append(bi)
         if bi <= 0:
             break
         sum_b += bi
-        a.append(a[-1] + alpha * bi)
-        sum_a += a[-1]
+        a.append(next_a)
+        sum_a += next_a
     return a, b
 
 
@@ -227,7 +236,11 @@ class PartitionGeneralDriver(AdversaryDriver):
 
 
 class UniformHardnessDriver(AdversaryDriver):
-    """Phases of 2k thin intervals plus the union of whatever was kept."""
+    """Phases of 2k thin intervals plus the union of whatever was kept.
+
+    Thin interval j of phase i, [i-1 + (j-1)/2k, i-1 + j/2k), is one new
+    item of weight ``cell_weight(i)``; a union covers its intervals' items.
+    """
 
     def __init__(self, alpha, epsilon, delta, k: int):
         self.alpha = Fraction(alpha)
@@ -243,7 +256,12 @@ class UniformHardnessDriver(AdversaryDriver):
         self.phases = int(self.delta * self.k)
         if self.phases < 1:
             raise ValueError("delta * k must be at least 1 (no phases otherwise)")
-        self.objective = IntervalCoverage(self.epsilon, {})
+        self._growth = 1 / (1 - self.epsilon)  # density ratio of consecutive cells
+        # every value is at most the total weight, 2 ((1-eps)^-phases - 1) / eps < bound
+        if 2 * self._growth ** self.phases / self.epsilon > FLOAT_MAX:
+            raise ValueError(f"{self.phases} phases at epsilon={epsilon} give values "
+                             "beyond float range")
+        self.objective = WeightedCoverage({}, {})
         self.matroid = UniformMatroid(k)
         self.union_taken: List[str] = []
         self.kept_value = Fraction(0)  # sum over finished phases of x_j w_j
@@ -254,18 +272,18 @@ class UniformHardnessDriver(AdversaryDriver):
 
     def cell_weight(self, i: int) -> Fraction:
         # value of one phase-i interval: 2 * (1/2k) * (1-eps)^-i
-        return self.objective.cell_weight(i) / self.k
+        return self._growth ** i / self.k
 
     def _elements(self):
         k = self.k
+        f = self.objective
         for i in range(1, self.phases + 1):
             w = self.cell_weight(i)
             # step (a): 2k thin intervals tiling [i-1, i)
             for j in range(1, 2 * k + 1):
                 el = self.cell_id(i, j)
-                lo = Fraction(i - 1) + Fraction(j - 1, 2 * k)
-                hi = Fraction(i - 1) + Fraction(j, 2 * k)
-                self.objective.register(el, [(lo, hi)])
+                item = len(f.universe_weight)
+                f.register(el, (item,), {item: w})
                 fresh = min(j, k - (i - 1))
                 self._opt = max(self._opt, self.kept_value + fresh * w)
                 visible = yield el
@@ -276,9 +294,7 @@ class UniformHardnessDriver(AdversaryDriver):
             if not kept:
                 continue
             union_id = f"p{i}.union"
-            self.objective.register(
-                union_id, [iv for c in kept for iv in self.objective.intervals(c)]
-            )
+            f.register(union_id, [item for c in kept for item in f.covers[c]])
             self.kept_value += len(kept) * w
             self._opt = max(self._opt, self.kept_value + (k - i) * w)
             visible = yield union_id

@@ -106,7 +106,6 @@ def _approx_gt(a, b, slack=CHECK_TOL):
 def _commit(st: OnlineState, d: Decision, *, strict_monotone: bool) -> None:
     f_before = st.f_S()
     st.accept(d.element, evict=d.evicted)
-    st.rounds += 1
     if strict_monotone and not _approx_gt(st.f_S(), f_before, 1e-12):
         raise InvariantViolation(
             f"objective did not strictly increase: {f_before} -> {st.f_S()}"
@@ -173,10 +172,10 @@ def step_k_uniform(st: OnlineState, u: str, alpha: AlphaConstant) -> Decision:
 
 def _check_threshold_monotone(st: OnlineState, alpha: AlphaConstant, view: str) -> None:
     current = _threshold_quantity(st, alpha, view)
-    last = st.notes.get("threshold_last")
+    last = st.threshold_last
     if last is not None and not _approx_gt(current, last):
         raise InvariantViolation(f"threshold quantity decreased: {last} -> {current}")
-    st.notes["threshold_last"] = current
+    st.threshold_last = current
 
 
 # -- exchange rule for general matroids ---------------------------------------

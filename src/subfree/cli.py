@@ -479,6 +479,8 @@ def cmd_run(args, out) -> int:
 
 def _cmd_run_inner(instance, args, seed, check, alg, out) -> int:
     params: Dict[str, object] = {}
+    if alg != "bipartite" and instance.agents:
+        raise InstanceError(f"{alg} needs an objective and a matroid, not an agents list")
     if alg == "k-uniform":
         if not isinstance(instance.matroid, UniformMatroid):
             raise InstanceError("k-uniform needs a uniform matroid")

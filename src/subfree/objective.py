@@ -11,14 +11,15 @@ speed:
 Three families share one normal form, ``WeightedCoverage``: elements cover
 weighted items, and a set's value is the total weight of the items its
 members cover.  ``value``, ``interacts`` (do two elements share an item) and
-the accumulator are written once on that form; the other two families only
-build items.  ``Linear`` gives each element one private item of its weight.
-``IntervalCoverage`` uses the segments between consecutive interval
-endpoints, each weighing twice its exact density measure; its ``register``
-only appends, so no registered segment is ever cut.  Interval coverage works
-in exact rational arithmetic end to end so that threshold comparisons on
-adversarial streams are tie-free by construction.  Explicit tables and the
-p-thinned oracle keep the generic hooks.
+the accumulator are written once on that form, and its ``register`` is the
+one way to grow an instance, element by element, as adaptive streams do.
+The other two families only build items, once, at load.  ``Linear`` gives
+each element one private item of its weight.  ``IntervalCoverage`` uses the
+segments between consecutive interval endpoints, each weighing twice its
+exact density measure, in exact rational arithmetic so that equal-by-design
+values compare equal.  Weights and table values must be finite and
+nonnegative.  Explicit tables and the p-thinned oracle keep the generic
+hooks.
 
 The module-level functions implement the fractional extensions: the
 exponential extension over nonnegative mass vectors (element ``u`` realized
@@ -31,7 +32,7 @@ they enumerate every realization of a support of at most
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+import sys
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
@@ -40,6 +41,7 @@ EXACT_SUPPORT_LIMIT = 15
 # An interval endpoint x reaches unit cell ceil(x); endpoints beyond this cell,
 # or whose values would not fit a float, are rejected.
 MAX_INTERVAL_CELL = 1000
+FLOAT_MAX = sys.float_info.max
 
 # A mass vector over elements; absent keys mean zero mass.
 FractionalVector = Mapping[str, float]
@@ -104,6 +106,13 @@ class MarginalAccumulator:
         self._val = self._f.value(frozenset(self._base))
 
 
+def _check_weights(what: str, weights: Mapping) -> None:
+    for key, w in weights.items():
+        if not 0 <= w < math.inf:  # negative, infinite or NaN
+            problem = "negative weight" if w < 0 else "a non-finite weight"
+            raise ObjectiveError(f"{what} {key!r} has {problem}")
+
+
 class WeightedCoverage(Objective):
     """f(S) = total weight of the universe items covered by S.
 
@@ -113,16 +122,31 @@ class WeightedCoverage(Objective):
 
     zero = 0  # value of the empty set
 
-    def __init__(self, universe_weight: Mapping[str, object], covers: Mapping[str, Iterable[str]]):
-        for item, w in universe_weight.items():
-            if w < 0:
-                raise ObjectiveError(f"item {item!r} has negative weight")
+    def __init__(self, universe_weight: Mapping, covers: Mapping[str, Iterable]):
+        _check_weights("item", universe_weight)
         self.universe_weight = dict(universe_weight)
         self.covers = {el: frozenset(items) for el, items in covers.items()}
         for el, items in self.covers.items():
             missing = items.difference(self.universe_weight)
             if missing:
                 raise ObjectiveError(f"element {el!r} covers unknown items {sorted(missing)}")
+
+    def register(self, el: str, items: Iterable, new_weights: Mapping = {}) -> None:
+        """Add element ``el`` covering ``items``, the new ones weighing
+        ``new_weights``; validates as the constructor does, and changes
+        nothing when it raises."""
+        if el in self.covers:
+            raise ObjectiveError(f"element {el!r} already registered")
+        for item in new_weights:
+            if item in self.universe_weight:
+                raise ObjectiveError(f"item {item!r} already exists")
+        _check_weights("item", new_weights)
+        items = frozenset(items)
+        missing = items.difference(self.universe_weight).difference(new_weights)
+        if missing:
+            raise ObjectiveError(f"element {el!r} covers unknown items {sorted(missing)}")
+        self.universe_weight.update(new_weights)
+        self.covers[el] = items
 
     def elements(self) -> FrozenSet[str]:
         return frozenset(self.covers)
@@ -167,10 +191,9 @@ class Linear(WeightedCoverage):
     """Additive weights: each element covers one private item, its own id."""
 
     def __init__(self, weight: Mapping[str, object]):
-        for el, w in weight.items():
-            if w < 0:
-                raise ObjectiveError(f"element {el!r} has negative weight")
-        super().__init__(weight, {el: {el} for el in weight})
+        _check_weights("element", weight)
+        self.universe_weight = dict(weight)
+        self.covers = {el: frozenset((el,)) for el in weight}
 
 
 def normalize_intervals(intervals: Iterable[Interval]) -> Tuple[Interval, ...]:
@@ -190,12 +213,12 @@ def normalize_intervals(intervals: Iterable[Interval]) -> Tuple[Interval, ...]:
 
 
 class IntervalCoverage(WeightedCoverage):
-    """Coverage of [0, inf) under a geometric step density.
+    """Coverage of [0, inf) under a geometric step density, fixed at load.
 
     Unit cell ``[i-1, i)`` carries density ``(1 - eps)^(-i)`` and the value of
     a set is twice the density-weighted measure of the union of its members'
     intervals.  The items are the segments between consecutive
-    ``breakpoints`` (every registered endpoint): item ``i`` is
+    ``breakpoints`` (every interval endpoint): item ``i`` is
     ``[breakpoints[i], breakpoints[i+1])`` and weighs twice its measure, and
     an element covers the set of its segments.  All endpoint arithmetic is
     exact rational, so equal-by-design values compare equal.
@@ -208,16 +231,21 @@ class IntervalCoverage(WeightedCoverage):
         if not 0 < self.epsilon < 1:
             raise ObjectiveError("epsilon must lie in (0, 1)")
         self._cell_w: List[Fraction] = [Fraction(0)]  # cell i covers [i-1, i)
-        self._safe_cell = 0  # every cell up to this one passed _check_endpoint
-        self.breakpoints: List[Fraction] = []
-        self.universe_weight: List[Fraction] = []
-        self._weights: Dict[Fraction, Fraction] = {}  # each distinct segment weight once
         merged = {el: normalize_intervals(ivs) for el, ivs in covers.items()}
-        self._append_breakpoints(sorted({x for ivs in merged.values() for iv in ivs for x in iv}))
-        self.covers = {
-            el: self._segments([self._index(x) for iv in ivs for x in iv])
-            for el, ivs in merged.items()
-        }
+        bp = self.breakpoints = sorted({x for ivs in merged.values() for iv in ivs for x in iv})
+        top = math.ceil(bp[-1]) if bp else 0  # the last cell that any interval reaches
+        if top > MAX_INTERVAL_CELL:
+            raise ObjectiveError(
+                f"interval endpoint {bp[-1]} lies beyond cell {MAX_INTERVAL_CELL}")
+        # every value is at most twice the measure of [0, top), below 2 (1-eps)^-top / eps
+        if 2 * self.cell_weight(top) / self.epsilon > FLOAT_MAX:
+            raise ObjectiveError(f"interval endpoint {bp[-1]} gives values beyond float range")
+        position = {x: i for i, x in enumerate(bp)}
+        super().__init__(
+            {i: 2 * self.weighted_measure([(bp[i], bp[i + 1])]) for i in range(len(bp) - 1)},
+            {el: [i for lo, hi in ivs for i in range(position[lo], position[hi])]
+             for el, ivs in merged.items()},
+        )
 
     def cell_weight(self, i: int) -> Fraction:
         # density on [i-1, i)
@@ -225,60 +253,6 @@ class IntervalCoverage(WeightedCoverage):
             base = 1 / (1 - self.epsilon)
             self._cell_w.append(base ** len(self._cell_w))
         return self._cell_w[i]
-
-    def _check_endpoint(self, x: Fraction) -> None:
-        cell = math.ceil(x)  # the last cell that [0, x) reaches
-        if cell <= self._safe_cell:
-            return
-        if cell > MAX_INTERVAL_CELL:
-            raise ObjectiveError(f"interval endpoint {x} lies beyond cell {MAX_INTERVAL_CELL}")
-        try:
-            # twice the measure of [0, cell) is below 2 (1-eps)^-cell / eps
-            float(2 * self.cell_weight(cell) / self.epsilon)
-        except OverflowError:
-            raise ObjectiveError(f"interval endpoint {x} gives values beyond float range") from None
-        self._safe_cell = cell
-
-    def _append_breakpoints(self, points: Sequence[Fraction]) -> None:
-        """Append ascending endpoints beyond the last breakpoint, with the
-        segments they close."""
-        for x in points:
-            self._check_endpoint(x)
-        for x in points:
-            if self.breakpoints:
-                # streams register thousands of equal segments; share their weight
-                w = 2 * self.weighted_measure([(self.breakpoints[-1], x)])
-                self.universe_weight.append(self._weights.setdefault(w, w))
-            self.breakpoints.append(x)
-
-    def _index(self, x: Fraction) -> int:
-        """Position of breakpoint x; any other point would cut a segment."""
-        bp = self.breakpoints
-        # an appended interval usually starts at the last breakpoint
-        i = len(bp) - 1 if x == bp[-1] else bisect_left(bp, x)
-        if i == len(bp) or bp[i] != x:
-            raise ObjectiveError(f"endpoint {x} would cut a registered segment")
-        return i
-
-    @staticmethod
-    def _segments(ends: Sequence[int]) -> FrozenSet[int]:
-        """The segments between each pair of interval end positions."""
-        return frozenset(i for lo, hi in zip(ends[::2], ends[1::2]) for i in range(lo, hi))
-
-    def register(self, el: str, intervals: Iterable[Interval]) -> None:
-        """Add an element id; used by adaptive stream generators that own
-        this instance exclusively.  Existing ids cannot be redefined, and
-        registration only appends: each endpoint must already be a
-        breakpoint or lie beyond the last one."""
-        if el in self.covers:
-            raise ObjectiveError(f"element {el!r} already registered")
-        points = [x for iv in normalize_intervals(intervals) for x in iv]  # ascending
-        last = self.breakpoints[-1] if self.breakpoints else -1
-        ends = [self._index(x) for x in points if x <= last]
-        n = len(self.breakpoints)
-        self._append_breakpoints(points[len(ends):])
-        ends.extend(range(n, len(self.breakpoints)))
-        self.covers[el] = self._segments(ends)
 
     def intervals(self, el: str) -> Tuple[Interval, ...]:
         """The element's intervals in normal form: its runs of consecutive segments."""
@@ -330,6 +304,8 @@ class ExplicitTable(Objective):
                 raise ObjectiveError(f"table key {key!r} mentions unknown elements")
             if v < 0:
                 raise ObjectiveError(f"table value for {key!r} is negative")
+            if not v < math.inf:  # infinity or NaN
+                raise ObjectiveError(f"table value for {key!r} is not finite")
             self._table[els] = v
         if len(self._table) != 2**n:
             raise ObjectiveError("table must define every subset of the ground set")

@@ -53,8 +53,7 @@ class OnlineState:
         self._w_A_sum = 0
         self._w_S_sum = 0
         self._acc = objective.accumulator()
-        self.rounds = 0
-        self.notes: Dict[str, object] = {}  # scratch for per-run monitors
+        self.threshold_last = None  # the capacity rule's last threshold quantity
 
     # -- weight queries -------------------------------------------------
 

@@ -1,9 +1,11 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from subfree.adversaries import (
+    PHASE_CAP,
     PartitionGeneralDriver,
     PartitionMonotoneDriver,
     Stop,
@@ -14,6 +16,7 @@ from subfree.adversaries import (
     run_adversary,
 )
 from subfree.algorithms import solve_alpha, step_best_singleton, step_general_matroid, step_k_uniform
+from subfree.objective import IntervalCoverage
 from subfree.oracle import brute_force_opt, prefix_optima
 from subfree.tracker import InvariantViolation, OnlineState
 
@@ -57,6 +60,19 @@ def test_general_weights_recurrence_and_discriminant():
         for i in range(len(b) - 1):
             if b[i] > 0:
                 assert a[i + 1] - a[i] == alpha * b[i]
+
+
+def test_weight_sequences_stop_within_float_range():
+    top = sys.float_info.max
+    for alpha in (Fraction(10), Fraction(20)):
+        seq = monotone_weight_sequence(alpha)
+        assert len(seq) <= PHASE_CAP and seq[-1] >= 0 and sum(seq) <= top
+        nxt = alpha * seq[-1] - sum(seq)
+        assert sum(seq) + nxt > top  # the next term would have passed it
+    for alpha in (Fraction(16, 5), Fraction(7, 2), Fraction(39, 10), Fraction(4), Fraction(6)):
+        a, b = general_weight_sequences(alpha)
+        assert len(a) == len(b) + 1 <= PHASE_CAP and b[-1] > 0
+        assert 2 * sum(a) + sum(b) <= top
 
 
 # -- partition-monotone driver ---------------------------------------------------
@@ -168,8 +184,19 @@ def test_general_driver_opt_matches_brute_force_first_phases():
 
 def test_uniform_driver_cell_weights():
     driver = UniformHardnessDriver(Fraction(3), Fraction(1, 2), Fraction(1, 5), 10)
-    assert driver.objective.cell_weight(1) == 2
-    assert driver.objective.cell_weight(2) == 4
+    # density (1 - 1/2)^-i over an interval of width 1/20, doubled
+    assert driver.cell_weight(1) == Fraction(2, 10)
+    assert driver.cell_weight(2) == Fraction(4, 10)
+    state = OnlineState(driver.objective, driver.matroid)
+    for _ in range(20):  # phase 1's thin intervals; the first ten are kept
+        nxt = driver.next_element(frozenset(state.feasible))
+        if len(state.feasible) < 10:
+            state.accept(nxt)
+    assert driver.next_element(frozenset(state.feasible)) == "p1.union"
+    weights = driver.objective.universe_weight
+    assert weights == {i: Fraction(2, 10) for i in range(20)}
+    assert len({id(w) for w in weights.values()}) == 1  # one shared Fraction per phase
+    assert driver.objective.value({"p1.union"}) == 10 * Fraction(2, 10)
 
 
 def test_uniform_driver_against_capacity_rule_small():
@@ -223,6 +250,9 @@ def test_uniform_driver_degenerate_alpha_one_runs():
 def test_uniform_driver_parameter_validation():
     with pytest.raises(ValueError):
         UniformHardnessDriver(Fraction(3), Fraction(1, 2), Fraction(1, 100), 10)
+    # 54 phases of density ratio 10^6 pass the largest float; refused before any arrival
+    with pytest.raises(ValueError, match="float range"):
+        UniformHardnessDriver(Fraction(3), Fraction(999999, 1000000), Fraction(9, 10), 60)
 
 
 # -- run loop ---------------------------------------------------------------------
@@ -295,3 +325,37 @@ def test_driver_opt_under_random_policies(make, exact):
         unions_taken += len(getattr(driver, "union_taken", ()))
     if isinstance(driver, UniformHardnessDriver):
         assert unions_taken > 0  # some policy kept a phase's union
+
+
+@pytest.mark.parametrize("k", [4, 6, 12])
+def test_uniform_driver_matches_interval_coverage(k):
+    """The driver's weighted coverage against the interval semantics: thin
+    interval j of phase i is [i-1 + (j-1)/2k, i-1 + j/2k), and a phase's
+    union merges the thin intervals of that phase kept when it arrives."""
+    epsilon = Fraction(1, 4)
+    for seed in range(8):
+        driver = UniformHardnessDriver(Fraction(3), epsilon, Fraction(1, 2), k)
+        f = driver.objective
+        step = _random_policy(seed)
+        state = OnlineState(f, driver.matroid)
+        intervals, rounds = {}, []
+        while not isinstance(nxt := driver.next_element(frozenset(state.feasible)), Stop):
+            phase, part = nxt.split(".")
+            if part == "union":
+                kept = sorted(u for u in state.feasible if u.startswith(phase + ".s"))
+                intervals[nxt] = [iv for u in kept for iv in intervals[u]]
+            else:
+                lo = int(phase[1:]) - 1 + Fraction(int(part[1:]) - 1, 2 * k)
+                intervals[nxt] = [(lo, lo + Fraction(1, 2 * k))]
+            step(state, nxt)
+            values = {u: f.value({u}) for u in intervals}
+            feasible = frozenset(state.feasible)
+            rounds.append((feasible, state.f_S(), f.value(feasible), values))
+        reference = IntervalCoverage(epsilon, intervals)
+        for s, f_s, value, values in rounds:
+            assert f_s == value == reference.value(s)
+            assert values == {u: reference.value({u}) for u in values}
+        for u in intervals:
+            for v in intervals:
+                if u != v:
+                    assert f.interacts(u, v) == reference.interacts(u, v)

@@ -106,14 +106,17 @@ def test_instance_file_round_trips_byte_identical(tmp_path, rng):
 def test_shipped_example_instance_is_canonical():
     import pathlib
 
-    path = pathlib.Path(__file__).resolve().parents[1] / "docs/examples/coverage_small.json"
-    text = path.read_text(encoding="utf-8")
-    assert Instance.loads(text).dumps() == text
-    code, out = run_main(
-        ["run", "--alg", "general", "--instance", str(path), "--check-every-round"]
-    )
-    assert code == EXIT_OK
-    assert json.loads(out.splitlines()[-1])["selected"] == ["feedA", "feedC"]
+    examples = pathlib.Path(__file__).resolve().parents[1] / "docs/examples"
+    for name, selected in (("coverage_small.json", ["feedA", "feedC"]),
+                           ("interval_small.json", ["early", "late"])):
+        path = examples / name
+        text = path.read_text(encoding="utf-8")
+        assert Instance.loads(text).dumps() == text
+        code, out = run_main(
+            ["run", "--alg", "general", "--instance", str(path), "--check-every-round"]
+        )
+        assert code == EXIT_OK
+        assert json.loads(out.splitlines()[-1])["selected"] == selected
 
 
 def test_instance_validation_errors(rng):
@@ -343,6 +346,50 @@ def test_run_rejects_unbounded_interval_endpoints(tmp_path, capsys, epsilon, cov
     code, _ = run_main(["run", "--alg", "general", "--instance", str(path)])
     assert code == EXIT_INSTANCE
     assert message in capsys.readouterr().err
+
+
+# JSON numbers too large for a float parse as infinity; Python's json also
+# reads NaN and Infinity
+@pytest.mark.parametrize("objective", [
+    '{"kind": "linear", "weight": {"a": 1e400, "b": 1}}',
+    '{"kind": "linear", "weight": {"a": NaN, "b": 1}}',
+    '{"kind": "weighted_coverage", "universe_weight": {"x": Infinity}, '
+    '"covers": {"a": ["x"], "b": ["x"]}}',
+    '{"kind": "explicit_table", "ground": ["a", "b"], '
+    '"value": {"": 0, "a": 1, "b": 1, "a,b": Infinity}}',
+], ids=["linear-1e400", "linear-nan", "coverage-infinity", "table-infinity"])
+@pytest.mark.parametrize("alg", ["general", "k-uniform"])
+def test_run_rejects_non_finite_numbers(tmp_path, capsys, objective, alg):
+    path = tmp_path / "nonfinite.json"
+    path.write_text('{"arrival_order": ["a", "b"], "matroid": {"kind": "uniform", "k": 4}, '
+                    f'"objective": {objective}}}', encoding="utf-8")
+    code, out = run_main(["run", "--alg", alg, "--instance", str(path)])
+    assert (code, out) == (EXIT_INSTANCE, "")
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alg", [
+    "k-uniform", "general", "best-singleton", "partition-frac", "nonmono-general",
+    "nonmono-uniform",
+])
+def test_run_single_stream_algorithm_rejects_agents(tmp_path, capsys, alg):
+    f = Linear({"a": 1, "b": 2})
+    inst = Instance(["a", "b"], agents=[(f, UniformMatroid(4)), (f, UniformMatroid(4))])
+    code, out = run_main(["run", "--alg", alg, "--instance", write_instance(tmp_path, inst)])
+    assert (code, out) == (EXIT_INSTANCE, "")
+    assert "needs an objective and a matroid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family, alpha", [
+    ("partition-general", "4"), ("partition-general", "6"),
+    ("partition-monotone", "10"), ("partition-monotone", "20"),
+])
+@pytest.mark.parametrize("alg", ["general", "best-singleton"])
+def test_adversary_stops_at_float_range(family, alpha, alg):
+    code, out = run_main(["adversary", "--family", family, "--alpha", alpha, "--alg", alg,
+                          "--quiet"])
+    assert code == EXIT_OK
+    assert json.loads(out)["stop_reason"] == "phase-cap"
 
 
 def test_adversary_alg_matroid_mismatch_exits_2():

@@ -138,14 +138,6 @@ def test_normalize_intervals_merges_and_validates():
         normalize_intervals([(-1, 2)])
 
 
-def test_interval_register_refuses_redefine():
-    f = IntervalCoverage(Fraction(1, 2), {"a": [(0, 1)]})
-    f.register("b", [(1, 2)])
-    assert f.value({"b"}) == 2 * 4
-    with pytest.raises(ObjectiveError):
-        f.register("a", [(0, 1)])
-
-
 # -- the coverage normal form against the interval definition ---------------
 
 
@@ -159,16 +151,6 @@ def _random_intervals(rng, n):
         if rng.random() < 0.3:  # nested inside the last one
             ivs.append((lo + (hi - lo) / 3, hi - (hi - lo) / 4))
     return ivs
-
-
-def _appendable_intervals(rng, f):
-    """Intervals whose endpoints are breakpoints or lie beyond the last one."""
-    last = f.breakpoints[-1] if f.breakpoints else Fraction(0)
-    pool = set(rng.sample(f.breakpoints, min(3, len(f.breakpoints))))
-    for _ in range(rng.randint(1, 3)):
-        pool.add(last + Fraction(rng.randint(1, 10), rng.choice([1, 2, 3])))
-    pool = sorted(pool)[len(pool) % 2 :]
-    return list(zip(pool[::2], pool[1::2]))
 
 
 class _IntervalReference:
@@ -198,21 +180,10 @@ def _random_interval_instance(rng):
     return f, ref
 
 
-def _register(rng, f, ref, el):
-    ivs = _appendable_intervals(rng, f)
-    if ref.covers and rng.random() < 0.4:  # a union of registered intervals
-        ivs += [iv for u in rng.sample(sorted(ref.covers), min(2, len(ref.covers)))
-                for iv in f.intervals(u)]
-    f.register(el, ivs)
-    ref.covers[el] = ivs
-
-
 def test_interval_normal_form_matches_definition():
     for trial in range(60):
         rng = random.Random(trial)
         f, ref = _random_interval_instance(rng)
-        for j in range(rng.randint(0, 4)):
-            _register(rng, f, ref, f"r{j}")
         ground = sorted(f.elements())
         assert ground == sorted(ref.covers)
         for el in ground:
@@ -229,37 +200,20 @@ def test_interval_normal_form_matches_definition():
                     assert f.interacts(u, v) == ref.overlaps(u, v)
 
 
-def test_interval_accumulator_spans_register_calls():
+def test_interval_accumulator_matches_definition():
     for trial in range(40):
         rng = random.Random(100 + trial)
         f, ref = _random_interval_instance(rng)
         acc, base = f.accumulator(), set()
         assert type(acc.marginal(sorted(f.elements())[0])) is Fraction
-        for j in range(8):
-            if rng.random() < 0.5:
-                _register(rng, f, ref, f"r{j}")
-            pending = sorted(set(ref.covers) - base)
-            if not pending:
-                continue
+        pending = sorted(ref.covers)
+        rng.shuffle(pending)
+        while pending:
             for u in pending:
                 assert acc.marginal(u) == ref.value(base | {u}) - ref.value(base)
-            u = rng.choice(pending)
+            u = pending.pop()
             acc.add(u)
             base.add(u)
-
-
-def test_interval_register_refuses_cuts():
-    f = IntervalCoverage(Fraction(1, 3), {"a": [(1, 2)], "b": [(Fraction(3, 2), 3)]})
-    for ivs in ([(Fraction(5, 4), 4)],  # inside the segment [1, 3/2)
-                [(Fraction(1, 2), 1)],  # below the first breakpoint
-                [(3, 5), (Fraction(7, 4), 3)]):  # one appended, one cutting [3/2, 2)
-        with pytest.raises(ObjectiveError, match="cut"):
-            f.register("c", ivs)
-    assert sorted(f.elements()) == ["a", "b"]
-    assert f.breakpoints == [1, Fraction(3, 2), 2, 3]
-    f.register("c", [(Fraction(3, 2), 5), (6, 7)])
-    assert f.intervals("c") == ((Fraction(3, 2), 5), (6, 7))
-    assert f.value({"a", "c"}) == 2 * f.weighted_measure([(1, 5), (6, 7)])
 
 
 def test_interval_endpoint_bound():
@@ -268,16 +222,11 @@ def test_interval_endpoint_bound():
     assert f.value({"a"}) == 2 * 2**top
     with pytest.raises(ObjectiveError, match="beyond cell"):
         IntervalCoverage(Fraction(1, 2), {"a": [(0, top + Fraction(1, 2))]})
-    with pytest.raises(ObjectiveError, match="beyond cell"):
-        f.register("b", [(top, top + 1)])
     # density 10^i: the value of [0, 308) is about 2.2e308, past the largest float
     with pytest.raises(ObjectiveError, match="float range"):
         IntervalCoverage(Fraction(9, 10), {"a": [(0, 308)]})
     g = IntervalCoverage(Fraction(9, 10), {"a": [(0, 300)]})
     assert float(g.value({"a"})) < 1e302
-    with pytest.raises(ObjectiveError, match="float range"):
-        g.register("b", [(300, 310)])
-    assert sorted(g.elements()) == ["a"] and g.breakpoints == [0, 300]
 
 
 def test_linear_matches_sorted_sum():
@@ -300,6 +249,27 @@ def test_linear_matches_sorted_sum():
             assert not f.interacts(u, rng.choice([v for v in ground if v != u]))
             acc.add(u)
             assert acc.marginal(u) == 0
+
+
+def test_weighted_coverage_register():
+    f = WeightedCoverage({"x": 1, "y": 2}, {"a": {"x"}})
+    acc = f.accumulator()  # made before the registration, as a stream's tracker is
+    acc.add("a")
+    f.register("b", ["x", "z"], {"z": 3})
+    assert f.value({"b"}) == 4 and f.value({"a", "b"}) == 4
+    assert acc.marginal("b") == 3 and f.interacts("a", "b")
+    before = (dict(f.universe_weight), dict(f.covers))
+    for el, items, new, match in (
+        ("a", ["y"], {}, "already registered"),
+        ("c", ["w", "x"], {"w": 1, "x": 5}, "already exists"),
+        ("c", ["y", "w"], {}, "unknown items"),
+        ("c", ["w"], {"w": -1}, "negative"),
+        ("c", ["w"], {"w": math.inf}, "non-finite"),
+        ("c", ["w"], {"w": math.nan}, "non-finite"),
+    ):
+        with pytest.raises(ObjectiveError, match=match):
+            f.register(el, items, new)
+        assert (f.universe_weight, f.covers) == before
 
 
 # -- interaction and accumulator hooks --------------------------------------
