@@ -129,10 +129,11 @@ def objective_to_json(f: Objective) -> dict:
             },
         }
     if isinstance(f, WeightedCoverage):
-        weight = {k: _num_to_json(v) for k, v in sorted(f.universe_weight.items())}
+        # item ids become JSON keys, which are strings: write them as strings in covers too
+        weight = {str(k): _num_to_json(v) for k, v in sorted(f.universe_weight.items())}
         if isinstance(f, Linear):
             return {"kind": "linear", "weight": weight}
-        covers = {el: sorted(items) for el, items in sorted(f.covers.items())}
+        covers = {el: sorted(map(str, items)) for el, items in sorted(f.covers.items())}
         return {"kind": "weighted_coverage", "universe_weight": weight, "covers": covers}
     if isinstance(f, ExplicitTable):
         return {
@@ -145,16 +146,28 @@ def objective_to_json(f: Objective) -> dict:
     raise InstanceError(f"cannot serialize objective {type(f).__name__}")
 
 
+def _check_fits_float(what: str, values) -> None:
+    """Refuse finite numbers whose sum a float cannot hold: an exact ``Fraction``
+    or int may pass the largest float, and the rules and reports convert to float."""
+    try:
+        math.fsum(map(float, values))
+    except OverflowError:
+        raise InstanceError(f"{what} does not fit a float") from None
+
+
 def objective_from_json(spec: dict) -> Objective:
     try:
         kind = spec["kind"]
-        if kind == "weighted_coverage":
-            return WeightedCoverage(
-                {k: _num_from_json(v) for k, v in spec["universe_weight"].items()},
-                {el: frozenset(items) for el, items in spec["covers"].items()},
-            )
-        if kind == "linear":
-            return Linear({k: _num_from_json(v) for k, v in spec["weight"].items()})
+        if kind in ("weighted_coverage", "linear"):
+            if kind == "linear":
+                f = Linear({k: _num_from_json(v) for k, v in spec["weight"].items()})
+            else:
+                f = WeightedCoverage(
+                    {k: _num_from_json(v) for k, v in spec["universe_weight"].items()},
+                    {el: frozenset(items) for el, items in spec["covers"].items()},
+                )
+            _check_fits_float("the total weight", f.universe_weight.values())
+            return f
         if kind == "interval_coverage":
             return IntervalCoverage(
                 Fraction(spec["epsilon"]),
@@ -164,9 +177,12 @@ def objective_from_json(spec: dict) -> Objective:
                 },
             )
         if kind == "explicit_table":
-            return ExplicitTable(
-                spec["ground"], {k: _num_from_json(v) for k, v in spec["value"].items()}
-            )
+            value = {k: _num_from_json(v) for k, v in spec["value"].items()}
+            # before the table is built: its submodularity check converts to float;
+            # floats fit, and other non-numbers are the table's to refuse
+            exact = [v for v in value.values() if isinstance(v, (int, Fraction))]
+            _check_fits_float("the largest table value", [max(exact, default=0)])
+            return ExplicitTable(spec["ground"], value)
         raise InstanceError(f"unknown objective kind {kind!r}")
     except (KeyError, TypeError, ValueError, OverflowError, ObjectiveError) as exc:
         raise InstanceError(f"bad objective spec: {exc}") from exc

@@ -1,18 +1,28 @@
 """Submodular value oracles and their fractional extensions.
 
 Every oracle shares one interface: ``value`` on a set, ``marginal`` of an
-element against a set, plus two hooks the online bookkeeping relies on for
+element against a set, plus three hooks the online bookkeeping relies on for
 speed:
 
 * ``interacts(u, v)`` - may removing ``v`` from a context change the
   marginal of ``u``?  Conservative ``True`` is always sound.
 * ``accumulator()`` - incremental marginals against a grow-only set.
+* ``current_weights()`` - a keeper of each member's marginal against the
+  members added before it: ``add(u)`` returns the newest member's weight,
+  ``remove(v)`` the new weight of each member that changed.  The generic
+  keeper recomputes ``marginal`` for the later members that ``interacts``
+  with ``v``.
 
 Three families share one normal form, ``WeightedCoverage``: elements cover
 weighted items, and a set's value is the total weight of the items its
-members cover.  ``value``, ``interacts`` (do two elements share an item) and
-the accumulator are written once on that form, and its ``register`` is the
-one way to grow an instance, element by element, as adaptive streams do.
+members cover.  ``value``, ``interacts`` (do two elements share an item),
+the accumulator and the keeper are written once on that form, and its
+``register`` is the one way to grow an instance, element by element, as
+adaptive streams do.  The keeper is an ownership ledger: each item lists
+the members covering it in the order they were added, the first of them
+owns it, and a member's weight is the mass it owns; removing a member hands
+each item it owned to the next holder in line, so neither call evaluates
+``value``.
 The other two families only build items, once, at load.  ``Linear`` gives
 each element one private item of its weight.  ``IntervalCoverage`` uses the
 segments between consecutive interval endpoints, each weighing twice its
@@ -87,6 +97,9 @@ class Objective:
     def accumulator(self) -> "MarginalAccumulator":
         return MarginalAccumulator(self)
 
+    def current_weights(self) -> "CurrentWeights":
+        return CurrentWeights(self)
+
 
 class MarginalAccumulator:
     """Marginals against a set that only ever grows; generic fallback."""
@@ -104,6 +117,39 @@ class MarginalAccumulator:
     def add(self, u: str) -> None:
         self._base.add(u)
         self._val = self._f.value(frozenset(self._base))
+
+
+class CurrentWeights:
+    """Current weights w_S(u) = f(u | members added before u); generic fallback.
+
+    Members are kept in the order they were added.  Removing ``v``
+    recomputes the marginal of each later member that ``interacts`` with
+    ``v``, against the members before it.
+    """
+
+    def __init__(self, objective: Objective):
+        self._f = objective
+        self._w: Dict[str, object] = {}  # member -> current weight, in order added
+
+    def add(self, u: str):
+        """Add the newest member ``u`` and return its current weight."""
+        w = self._w[u] = self._f.marginal(u, frozenset(self._w))
+        return w
+
+    def remove(self, v: str) -> Dict[str, object]:
+        """Remove member ``v``; return the new weight of each member whose weight changed."""
+        f, w = self._f, self._w
+        members = list(w)
+        i = members.index(v)
+        del members[i], w[v]
+        changed = {}
+        for j in range(i, len(members)):
+            u = members[j]
+            if f.interacts(u, v):
+                new = f.marginal(u, frozenset(members[:j]))
+                if new != w[u]:
+                    changed[u] = w[u] = new
+        return changed
 
 
 def _check_weights(what: str, weights: Mapping) -> None:
@@ -171,6 +217,9 @@ class WeightedCoverage(Objective):
     def accumulator(self) -> "MarginalAccumulator":
         return _CoverageAccumulator(self)
 
+    def current_weights(self) -> "CurrentWeights":
+        return _CoverageLedger(self)
+
 
 class _CoverageAccumulator(MarginalAccumulator):
     def __init__(self, objective: WeightedCoverage):
@@ -185,6 +234,47 @@ class _CoverageAccumulator(MarginalAccumulator):
 
     def add(self, u: str) -> None:
         self._covered |= self._f.covers[u]
+
+
+class _CoverageLedger(CurrentWeights):
+    """Ownership ledger: each covered item is owned by the earliest-added
+    member covering it, and a member's current weight is the mass it owns."""
+
+    def __init__(self, objective: WeightedCoverage):
+        super().__init__(objective)
+        self._holders: Dict[object, List[str]] = {}  # item -> its covering members, in order added
+
+    def _owned(self, u: str):
+        # summed as _CoverageAccumulator sums, in sorted item order from zero
+        f, holders = self._f, self._holders
+        return sum((f.universe_weight[i] for i in sorted(f.covers[u]) if holders[i][0] == u), f.zero)
+
+    def add(self, u: str):
+        holders = self._holders
+        for i in self._f.covers[u]:
+            holders.setdefault(i, []).append(u)
+        w = self._w[u] = self._owned(u)
+        return w
+
+    def remove(self, v: str) -> Dict[str, object]:
+        holders, w = self._holders, self._w
+        del w[v]
+        heirs = set()
+        for i in self._f.covers[v]:
+            line = holders[i]
+            if len(line) == 1:
+                del holders[i]
+                continue
+            if line[0] == v:
+                heirs.add(line[1])  # v owned item i: it passes to the next holder in line
+            line.remove(v)
+        changed = {}
+        if heirs:
+            for u in [u for u in w if u in heirs]:  # in order added
+                new = self._owned(u)
+                if new != w[u]:
+                    changed[u] = w[u] = new
+        return changed
 
 
 class Linear(WeightedCoverage):

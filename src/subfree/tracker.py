@@ -9,11 +9,17 @@ Three weights drive every algorithm here:
 * frozen weight   what(u) - the last current weight of u, captured at the
                            moment it was evicted.
 
-Current weights are cached per member and refreshed lazily: evicting v can
-only move w_S(u) for members accepted after v whose marginal actually
-depends on v (the objective's ``interacts`` answers that).  The refresh
-asserts the no-decrease law, and the cached sum makes
-f(S) = f(empty) + sum of current weights available in O(1).
+Two objective hooks keep these incremental.  The ``accumulator()`` gives
+arrival weights against the grow-only history.  The ``current_weights()``
+keeper gives the newest member's current weight on acceptance, and on an
+eviction the new current weight of each member it raised.  On weighted
+coverage the keeper is an ownership ledger: each covered item belongs to the
+earliest-accepted member of S covering it, w_S(u) is the mass u owns, and an
+eviction hands each item the evicted member owned to the next holder in
+line.  Every weight the keeper reports is checked against the no-decrease
+law, and the cached sum makes f(S) = f(empty) + sum of current weights
+available in O(1).  The arrival-weight total of S is cached too: an accept
+extends it, and an eviction drops it until the next query re-sums it.
 """
 
 from __future__ import annotations
@@ -52,7 +58,9 @@ class OnlineState:
         self._ws: Dict[str, object] = {}
         self._w_A_sum = 0
         self._w_S_sum = 0
+        self._w_arrival_S_sum = 0  # None after an eviction, until recomputed
         self._acc = objective.accumulator()
+        self._keeper = objective.current_weights()
         self.threshold_last = None  # the capacity rule's last threshold quantity
 
     # -- weight queries -------------------------------------------------
@@ -82,11 +90,13 @@ class OnlineState:
 
     def w_arrival_over_S(self):
         """Sum of arrival weights of the current members."""
-        # acceptance order, so float accumulation ignores set iteration order
-        return sum(
-            self.arrival_w[v]
-            for v in sorted(self.feasible, key=self.acc_index.__getitem__)
-        )
+        if self._w_arrival_S_sum is None:
+            # acceptance order, so float accumulation ignores set iteration order
+            self._w_arrival_S_sum = sum(
+                self.arrival_w[v]
+                for v in sorted(self.feasible, key=self.acc_index.__getitem__)
+            )
+        return self._w_arrival_S_sum
 
     def member_weights(self, view: str = CURRENT) -> Dict[str, object]:
         """Weight of each member under a view (may hold evicted elements too)."""
@@ -129,28 +139,25 @@ class OnlineState:
             self.frozen_w[evict] = w_out
             self.feasible.remove(evict)
             self._w_S_sum -= w_out
-            self._refresh_after_eviction(evict)
-
-        w_u = self._acc.marginal(u)
-        self.acc_index[u] = len(self.history)
-        self.history.append(u)
-        self.arrival_w[u] = w_u
-        self._w_A_sum += w_u
-        self._acc.add(u)
-        self.feasible.add(u)
-        ws_u = self.objective.marginal(u, self._prefix_in_S(u))
-        self._ws[u] = ws_u
-        self._w_S_sum += ws_u
-
-    def _refresh_after_eviction(self, gone: str) -> None:
-        cutoff = self.acc_index[gone]
-        for v in sorted(self.feasible, key=self.acc_index.__getitem__):
-            if self.acc_index[v] > cutoff and self.objective.interacts(v, gone):
+            self._w_arrival_S_sum = None
+            for v, new in self._keeper.remove(evict).items():
                 old = self._ws[v]
-                new = self.objective.marginal(v, self._prefix_in_S(v))
                 if new < old - WS_MONOTONE_TOL * (1 + abs(old)):
                     raise InvariantViolation(
                         f"current weight of {v!r} decreased: {old} -> {new}"
                     )
                 self._ws[v] = new
                 self._w_S_sum += new - old
+
+        w_u = self._acc.marginal(u)
+        self.acc_index[u] = len(self.history)
+        self.history.append(u)
+        self.arrival_w[u] = w_u
+        self._w_A_sum += w_u
+        if self._w_arrival_S_sum is not None:
+            # u is the newest member: the same left fold as a recomputation
+            self._w_arrival_S_sum += w_u
+        self._acc.add(u)
+        self.feasible.add(u)
+        ws_u = self._ws[u] = self._keeper.add(u)
+        self._w_S_sum += ws_u

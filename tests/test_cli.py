@@ -2,10 +2,13 @@ import io
 import json
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
 import subfree.cli as cli
+from subfree.adversaries import make_driver, run_adversary
+from subfree.algorithms import dispatch_uniform
 from subfree.cli import (
     EXIT_INSTANCE,
     EXIT_OK,
@@ -366,6 +369,54 @@ def test_run_rejects_non_finite_numbers(tmp_path, capsys, objective, alg):
     code, out = run_main(["run", "--alg", alg, "--instance", str(path)])
     assert (code, out) == (EXIT_INSTANCE, "")
     assert "finite" in capsys.readouterr().err
+
+
+# finite exact numbers may still pass the largest float: a rational string, a
+# long JSON integer, or floats that are each in range but not their sum
+@pytest.mark.parametrize("objective", [
+    '{"kind": "linear", "weight": {"a": "1e400", "b": 1}}',
+    '{"kind": "linear", "weight": {"a": 1e308, "b": 1e308}}',
+    '{"kind": "weighted_coverage", "universe_weight": {"x": "1e400", "y": 1.5}, '
+    '"covers": {"a": ["x"], "b": ["y"]}}',
+    '{"kind": "weighted_coverage", "universe_weight": {"x": 1' + "0" * 400 + '}, '
+    '"covers": {"a": ["x"], "b": ["x"]}}',
+    '{"kind": "explicit_table", "ground": ["a", "b"], '
+    '"value": {"": 0, "a": "1e400", "b": 1, "a,b": "1e400"}}',
+], ids=["linear-rational", "linear-float-sum", "coverage-rational", "coverage-int", "table"])
+@pytest.mark.parametrize("alg", ["general", "k-uniform", "best-singleton"])
+def test_run_rejects_weights_beyond_float_range(tmp_path, capsys, objective, alg):
+    path = tmp_path / "huge.json"
+    path.write_text('{"arrival_order": ["a", "b"], "matroid": {"kind": "uniform", "k": 4}, '
+                    f'"objective": {objective}}}', encoding="utf-8")
+    code, out = run_main(["run", "--alg", alg, "--instance", str(path)])
+    assert (code, out) == (EXIT_INSTANCE, "")
+    assert "does not fit a float" in capsys.readouterr().err
+
+
+def test_run_accepts_large_weights_within_float_range(tmp_path):
+    f = Linear({"a": Fraction(10**300), "b": 10**300, "c": 8e307})
+    path = write_instance(tmp_path, Instance(["a", "b", "c"], objective=f,
+                                             matroid=UniformMatroid(4)))
+    for alg in ("general", "k-uniform", "best-singleton"):
+        code, out = run_main(["run", "--alg", alg, "--instance", path])
+        assert code == EXIT_OK
+        assert json.loads(out.splitlines()[-1])["f_S"] > 1e300
+
+
+def test_driver_objective_round_trips():
+    # the uniform driver's items are ints; JSON keys are strings
+    driver = make_driver("uniform", Fraction(3), epsilon=Fraction(1, 20),
+                         delta=Fraction(1, 5), k=20)
+    step, _ = dispatch_uniform(20)
+    out = run_adversary(driver, step)
+    order = [r["element"] for r in out.rounds]
+    inst = Instance(order, objective=driver.objective, matroid=driver.matroid)
+    back = Instance.loads(inst.dumps())
+    assert back.dumps() == inst.dumps()
+    rng = random.Random(3)
+    for _ in range(50):
+        s = frozenset(rng.sample(order, rng.randint(0, len(order))))
+        assert back.objective.value(s) == driver.objective.value(s)
 
 
 @pytest.mark.parametrize("alg", [

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from subfree.matroid import PartitionMatroid, UniformMatroid
-from subfree.objective import Linear, WeightedCoverage
+from subfree.objective import CurrentWeights, Linear, WeightedCoverage
 from subfree.tracker import OnlineState, TrackerError
 
 from conftest import random_coverage
@@ -192,3 +192,72 @@ def test_min_member_tie_breaks_earliest():
     st.accept("a")
     st.accept("c")
     assert st.min_member() == "b"
+
+
+# -- current-weight keepers -------------------------------------------------------
+
+
+def test_ledger_hands_each_item_to_the_next_holder():
+    f = WeightedCoverage({"x": 5, "y": 2, "z": 1},
+                         {"a": {"x", "y"}, "b": {"x"}, "c": {"x", "z"}, "d": {"y"}})
+    for keeper in (f.current_weights(), CurrentWeights(f)):
+        assert [keeper.add(u) for u in "abcd"] == [7, 0, 1, 0]
+        assert keeper.remove("a") == {"b": 5, "d": 2}  # x goes to b, not to the newest c
+        assert keeper.remove("d") == {}
+        assert keeper.remove("b") == {"c": 6}
+        assert keeper.add("a") == 2  # y has no holder left
+        assert keeper.remove("c") == {"a": 7}
+
+
+def test_coverage_accept_calls_neither_value_nor_marginal():
+    class Counted(WeightedCoverage):
+        calls = 0
+
+        def value(self, s):
+            Counted.calls += 1
+            return super().value(s)
+
+        def marginal(self, u, s):
+            Counted.calls += 1
+            return super().marginal(u, s)
+
+    rng = random.Random(5)
+    base = random_coverage(rng, 12)
+    st = OnlineState(Counted(base.universe_weight, base.covers), UniformMatroid(3))
+    Counted.calls = 0
+    for u in sorted(base.elements()):
+        st.accept(u, evict=st.min_member() if len(st.feasible) == 3 else None)
+    assert Counted.calls == 0
+    assert len(st.frozen_w) == 9
+
+
+def random_policy_run(local, f, k):
+    """Accept every arrival, evicting a random member when S is full."""
+    st = OnlineState(f, UniformMatroid(k))
+    order = sorted(f.elements())
+    local.shuffle(order)
+    for u in order:
+        evict = local.choice(sorted(st.feasible)) if len(st.feasible) == k else None
+        st.accept(u, evict=evict)
+        yield st
+
+
+def test_current_weights_fresh_after_every_accept():
+    for trial in range(30):
+        local = random.Random(900 + trial)
+        f = random_coverage(local, 12, n_items=5)
+        for st in random_policy_run(local, f, 2 + trial % 4):
+            for u in st.feasible:
+                prefix = frozenset(v for v in st.feasible if st.acc_index[v] < st.acc_index[u])
+                assert st.w_S(u) == f.marginal(u, prefix)
+            assert st.f_S() == f.value(st.feasible)
+
+
+def test_arrival_total_cache_is_the_recomputed_fold():
+    for trial in range(20):
+        local = random.Random(1000 + trial)
+        f = Linear({f"e{i}": local.random() * 10 for i in range(12)})
+        for st in random_policy_run(local, f, 3):
+            st.w_arrival_over_S()  # fills the cache between evictions
+            ordered = sorted(st.feasible, key=st.acc_index.__getitem__)
+            assert st.w_arrival_over_S() == sum(st.arrival_w[v] for v in ordered)
