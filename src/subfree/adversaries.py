@@ -33,6 +33,7 @@ survive thousands of additions untouched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Generator, List, Optional
@@ -257,8 +258,12 @@ class UniformHardnessDriver(AdversaryDriver):
         if self.phases < 1:
             raise ValueError("delta * k must be at least 1 (no phases otherwise)")
         self._growth = 1 / (1 - self.epsilon)  # density ratio of consecutive cells
-        # every value is at most the total weight, 2 ((1-eps)^-phases - 1) / eps < bound
-        if 2 * self._growth ** self.phases / self.epsilon > FLOAT_MAX:
+        # every value is at most 2 (1-eps)^-phases / eps.  Logarithms decide; the exact
+        # power (seconds at k = 10^7) decides only within 1e-9, far above their rounding
+        eps = self.epsilon
+        gap = (math.log(2) - self.phases * math.log1p(-float(eps)) - math.log(FLOAT_MAX)
+               - math.log(eps.numerator) + math.log(eps.denominator))
+        if gap > 1e-9 or gap > -1e-9 and 2 * self._growth ** self.phases / eps > FLOAT_MAX:
             raise ValueError(f"{self.phases} phases at epsilon={epsilon} give values "
                              "beyond float range")
         self.objective = WeightedCoverage({}, {})

@@ -1,21 +1,17 @@
 """Online step rules over tracker state, plus the threshold constants.
 
-Each deterministic rule comes as a pure ``propose_*`` (what would happen)
-and a ``step_*`` that commits the proposal; the bipartite composition needs
-the split, and everything else goes through the same pair so that a
-committed step always runs the runtime law checks:
+Each threshold rule is a ``propose_*``, which says what an arrival would do
+and changes nothing, and a ``commit_*``, which applies a proposal and checks
+the rule's laws only when the state changes; ``step_*`` is commit(propose).
+The bipartite composition commits the winning agent's proposal, and the
+randomized rules for non-monotone objectives run the same pair on arrival
+weights, adding only their coins and slots.  The laws, each raising
+``InvariantViolation`` when broken rather than degrading silently:
 
-* accepted swaps strictly increase the objective;
-* the capacity rule's threshold quantity never decreases;
-* a replacement's arrival weight clears the documented factor over the
-  replaced weight.
-
-Violations raise ``InvariantViolation`` rather than degrade silently.
-
-The proposals take a weight view: the deterministic rules rank and sum
-members by current weight, and the randomized rules for non-monotone
-objectives run the same proposals on arrival weights, adding only their
-coins and slots.
+* capacity rule: a replacement's arrival weight clears the documented factor
+  over the replaced weight, and the threshold quantity does not decrease;
+* exchange rule: w(A) <= c / (c - 1) * w(S), in arrival weights;
+* under current weights, an accept strictly increases the objective.
 """
 
 from __future__ import annotations
@@ -103,10 +99,11 @@ def _approx_gt(a, b, slack=CHECK_TOL):
     return a > b - slack * (1 + abs(b))
 
 
-def _commit(st: OnlineState, d: Decision, *, strict_monotone: bool) -> None:
+def _commit(st: OnlineState, d: Decision, view: str) -> None:
+    """Apply an accepted proposal; under current weights f must strictly rise."""
     f_before = st.f_S()
     st.accept(d.element, evict=d.evicted)
-    if strict_monotone and not _approx_gt(st.f_S(), f_before, 1e-12):
+    if view == CURRENT and not _approx_gt(st.f_S(), f_before, 1e-12):
         raise InvariantViolation(
             f"objective did not strictly increase: {f_before} -> {st.f_S()}"
         )
@@ -152,30 +149,25 @@ def propose_k_uniform(st: OnlineState, u: str, alpha: AlphaConstant,
     return Decision(u, True, w_u=w_u)
 
 
-def _check_replacement(d: Decision, alpha: AlphaConstant) -> None:
-    """A replacement's w(u) clears alpha / (alpha - rho) times the evicted weight."""
-    if d.evicted is None:
-        return
+def commit_k_uniform(st: OnlineState, d: Decision, alpha: AlphaConstant,
+                     view: str = CURRENT) -> Decision:
+    """Apply a capacity-rule proposal; an accept checks that w(u) clears alpha /
+    (alpha - rho) times any evicted weight, then that the threshold did not drop."""
+    if not d.accepted:
+        return d
     bound = alpha.value / (alpha.value - alpha.rho) * d.w_evicted
-    if not _approx_gt(d.w_u, bound):
+    if d.evicted is not None and not _approx_gt(d.w_u, bound):
         raise InvariantViolation(f"replacement bound failed: w(u)={d.w_u} vs {bound}")
-
-
-def step_k_uniform(st: OnlineState, u: str, alpha: AlphaConstant) -> Decision:
-    d = propose_k_uniform(st, u, alpha)
-    if d.accepted:
-        _check_replacement(d, alpha)
-        _commit(st, d, strict_monotone=True)
-    _check_threshold_monotone(st, alpha, CURRENT)
+    before = _threshold_quantity(st, alpha, view)
+    _commit(st, d, view)
+    after = _threshold_quantity(st, alpha, view)
+    if not _approx_gt(after, before):
+        raise InvariantViolation(f"threshold quantity decreased: {before} -> {after}")
     return d
 
 
-def _check_threshold_monotone(st: OnlineState, alpha: AlphaConstant, view: str) -> None:
-    current = _threshold_quantity(st, alpha, view)
-    last = st.threshold_last
-    if last is not None and not _approx_gt(current, last):
-        raise InvariantViolation(f"threshold quantity decreased: {last} -> {current}")
-    st.threshold_last = current
+def step_k_uniform(st: OnlineState, u: str, alpha: AlphaConstant) -> Decision:
+    return commit_k_uniform(st, propose_k_uniform(st, u, alpha), alpha)
 
 
 # -- exchange rule for general matroids ---------------------------------------
@@ -202,16 +194,23 @@ def propose_general_matroid(st: OnlineState, u: str, c=2, view: str = CURRENT) -
     return Decision(u, False, w_u=w_u)
 
 
-def step_general_matroid(st: OnlineState, u: str, c=2) -> Decision:
-    d = propose_general_matroid(st, u, c)
-    if d.accepted:
-        _commit(st, d, strict_monotone=True)
+def commit_general_matroid(st: OnlineState, d: Decision, c=2,
+                           view: str = CURRENT) -> Decision:
+    """Apply an exchange-rule proposal; an accept checks the history bound
+    w(A) <= c / (c - 1) * w(S), in arrival weights."""
+    if not d.accepted:
+        return d
+    _commit(st, d, view)
     history_cap = c / (c - 1) * st.w_arrival_over_S()
     if not _approx_gt(history_cap, st.w_A_total()):
         raise InvariantViolation(
             f"history bound failed: w(A)={st.w_A_total()} vs {history_cap}"
         )
     return d
+
+
+def step_general_matroid(st: OnlineState, u: str, c=2) -> Decision:
+    return commit_general_matroid(st, propose_general_matroid(st, u, c), c)
 
 
 # -- best-singleton fallback ---------------------------------------------------
@@ -232,7 +231,7 @@ def propose_best_singleton(st: OnlineState, u: str) -> Decision:
 def step_best_singleton(st: OnlineState, u: str) -> Decision:
     d = propose_best_singleton(st, u)
     if d.accepted:
-        _commit(st, d, strict_monotone=True)
+        _commit(st, d, CURRENT)
     return d
 
 
@@ -250,18 +249,18 @@ def dispatch_uniform(k: int):
 
 @dataclass
 class Agent:
-    """One offline node: its own state plus the step rule it runs."""
+    """One offline node: its own state plus its rule's propose and commit."""
 
     state: OnlineState
     propose: Callable[[OnlineState, str], Decision]
-    commit: Callable[[OnlineState, str], Decision]
+    commit: Callable[[OnlineState, Decision], Decision]
 
     @classmethod
     def k_uniform(cls, state: OnlineState, alpha: AlphaConstant) -> "Agent":
         return cls(
             state,
             propose=lambda st, u: propose_k_uniform(st, u, alpha),
-            commit=lambda st, u: step_k_uniform(st, u, alpha),
+            commit=lambda st, d: commit_k_uniform(st, d, alpha),
         )
 
     @classmethod
@@ -269,27 +268,25 @@ class Agent:
         return cls(
             state,
             propose=lambda st, u: propose_general_matroid(st, u, c),
-            commit=lambda st, u: step_general_matroid(st, u, c),
+            commit=lambda st, d: commit_general_matroid(st, d, c),
         )
 
 
 def step_bipartite(agents: Sequence[Agent], u: str) -> Tuple[Optional[int], Optional[Decision]]:
-    """Ask every agent what it would do, then commit only the winner.
+    """Ask every agent what it would do, then commit only the winner's proposal.
 
     The winner maximizes the proposal gain w(u) - w_S(evicted); ties go to
     the lowest agent index.  Returns (agent index, committed decision), or
     (None, None) when nobody proposes.
     """
-    best_idx = None
-    best_gain = None
+    best_idx = best = None
     for idx, agent in enumerate(agents):
         d = agent.propose(agent.state, u)
-        if d.accepted and (best_gain is None or d.gain > best_gain):
-            best_idx, best_gain = idx, d.gain
-    if best_idx is None:
+        if d.accepted and (best is None or d.gain > best.gain):
+            best_idx, best = idx, d
+    if best is None:
         return None, None
-    winner = agents[best_idx]
-    return best_idx, winner.commit(winner.state, u)
+    return best_idx, agents[best_idx].commit(agents[best_idx].state, best)
 
 
 # -- randomized rules for non-monotone objectives --------------------------------
@@ -315,9 +312,10 @@ class NonmonotoneGeneralRun:
         self.coins: Dict[str, int] = {}
 
     def step(self, u: str) -> Decision:
-        d = propose_general_matroid(self.state, u, view=ARRIVAL)
+        d = commit_general_matroid(
+            self.state, propose_general_matroid(self.state, u, view=ARRIVAL), view=ARRIVAL
+        )
         if d.accepted:
-            _commit(self.state, d, strict_monotone=False)
             self.coins[u] = self.coin()
         return d
 
@@ -360,13 +358,11 @@ class NonmonotoneUniformRun:
 
     def step(self, u: str) -> Decision:
         st = self.state
-        d = propose_k_uniform(st, u, self.alpha, view=ARRIVAL)
+        d = commit_k_uniform(st, propose_k_uniform(st, u, self.alpha, view=ARRIVAL),
+                             self.alpha, ARRIVAL)
         if d.accepted:
-            _check_replacement(d, self.alpha)
-            slot = self.slot_of.pop(d.evicted) if d.evicted is not None else self._free.pop()
-            _commit(st, d, strict_monotone=False)
-            self.slot_of[u] = slot
-            _check_threshold_monotone(st, self.alpha, ARRIVAL)
+            self.slot_of[u] = (self.slot_of.pop(d.evicted) if d.evicted is not None
+                               else self._free.pop())
         return d
 
     def _draw_blocks(self, seed: int) -> List[int]:
@@ -379,11 +375,9 @@ class NonmonotoneUniformRun:
         choice does."""
         return self.feasible_set(self._draw_blocks(seed))
 
-    def _selected_slots(self, choice: Sequence[int]) -> set:
-        return {block * self.rho + c for block, c in enumerate(choice)}
-
     def feasible_set(self, choice: Optional[Sequence[int]] = None) -> frozenset:
-        chosen = self._selected_slots(self.block_choice if choice is None else choice)
+        choice = self.block_choice if choice is None else choice
+        chosen = {block * self.rho + c for block, c in enumerate(choice)}
         return frozenset(u for u, slot in self.slot_of.items() if slot in chosen)
 
     def expected_feasible_value(self):

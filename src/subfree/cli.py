@@ -390,7 +390,8 @@ def run_fractional(instance: Instance, delta, seed: int, trials: int,
                                range(seed + 1, seed + 1 + trials))
     final = {
         "record": "final",
-        "soft_value": to_jsonable(state.soft_value_live()),
+        "soft_value": (records[-1]["soft_value"] if records
+                       else to_jsonable(state.soft_value_live())),
         "opt": to_jsonable(opts[-1]) if instance.arrival_order else None,
         "rounded_mean": rounded_mean,
         "rounded_once": sorted(state.round_online()),
@@ -422,7 +423,8 @@ def run_nonmono(instance: Instance, kind: str, seed: int, trials: int,
                                range(seed, seed + trials))
     final = {
         "record": "final",
-        "expected_f": to_jsonable(run.expected_feasible_value()),
+        "expected_f": (records[-1]["expected_f"] if records
+                       else to_jsonable(run.expected_feasible_value())),
         "trial_mean_f": trial_mean_f,
         "opt": to_jsonable(opts[-1]) if instance.arrival_order else None,
         "selected_once": sorted(run.feasible_set()),

@@ -61,7 +61,6 @@ class OnlineState:
         self._w_arrival_S_sum = 0  # None after an eviction, until recomputed
         self._acc = objective.accumulator()
         self._keeper = objective.current_weights()
-        self.threshold_last = None  # the capacity rule's last threshold quantity
 
     # -- weight queries -------------------------------------------------
 

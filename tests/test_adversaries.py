@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction
@@ -253,6 +254,20 @@ def test_uniform_driver_parameter_validation():
     # 54 phases of density ratio 10^6 pass the largest float; refused before any arrival
     with pytest.raises(ValueError, match="float range"):
         UniformHardnessDriver(Fraction(3), Fraction(999999, 1000000), Fraction(9, 10), 60)
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 20), Fraction(1, 3), Fraction(999999, 1000000)])
+def test_uniform_driver_range_test_matches_the_exact_bound(eps):
+    # the logarithmic test refuses exactly the phase counts the exact power refuses
+    def beyond(phases):
+        return 2 * (1 / (1 - eps)) ** phases / eps > sys.float_info.max
+
+    guess = math.log(sys.float_info.max * eps / 2) / -math.log1p(-float(eps))
+    last = next(p for p in range(max(1, int(guess) - 3), 10**5) if beyond(p + 1))
+    assert not beyond(last)
+    UniformHardnessDriver(Fraction(3), eps, Fraction(1, 2), 2 * last)
+    with pytest.raises(ValueError, match="float range"):
+        UniformHardnessDriver(Fraction(3), eps, Fraction(1, 2), 2 * last + 2)
 
 
 # -- run loop ---------------------------------------------------------------------

@@ -5,12 +5,16 @@ import pytest
 
 from subfree.algorithms import (
     Agent,
+    Decision,
     NonmonotoneGeneralRun,
     NonmonotoneUniformRun,
+    commit_general_matroid,
+    commit_k_uniform,
     dispatch_uniform,
     solve_alpha,
     step_best_singleton,
     step_general_matroid,
+    step_bipartite,
     step_k_uniform,
 )
 from subfree.matroid import PartitionMatroid, UniformMatroid
@@ -22,7 +26,7 @@ from subfree.oracle import (
     random_instance,
     random_submodular_table,
 )
-from subfree.tracker import OnlineState
+from subfree.tracker import ARRIVAL, CURRENT, InvariantViolation, OnlineState
 
 from conftest import random_coverage
 
@@ -329,8 +333,6 @@ def test_bipartite_single_agent_matches_alone():
     solo = OnlineState(f, m)
     st = OnlineState(f, m)
     agents = [Agent.general(st)]
-    from subfree.algorithms import step_bipartite
-
     for u in order:
         step_bipartite(agents, u)
         step_general_matroid(solo, u)
@@ -338,8 +340,6 @@ def test_bipartite_single_agent_matches_alone():
 
 
 def test_bipartite_no_proposer_discards():
-    from subfree.algorithms import step_bipartite
-
     f = WeightedCoverage({"x": 1}, {"a": {"x"}, "b": {"x"}, "c": {"x"}})
     s1, s2 = OnlineState(f, UniformMatroid(1)), OnlineState(f, UniformMatroid(1))
     agents = [Agent.general(s1), Agent.general(s2)]
@@ -354,8 +354,6 @@ def test_bipartite_no_proposer_discards():
 
 
 def test_bipartite_assigns_to_larger_gain():
-    from subfree.algorithms import step_bipartite
-
     fa = Linear({"u": 3})
     fb = Linear({"u": 1})
     a = Agent.general(OnlineState(fa, UniformMatroid(1)))
@@ -363,6 +361,101 @@ def test_bipartite_assigns_to_larger_gain():
     idx, d = step_bipartite([a, b], "u")
     assert idx == 0 and d.accepted
     assert a.state.feasible == {"u"} and b.state.feasible == set()
+
+
+def test_bipartite_commits_the_winning_proposal_it_holds():
+    proposals = []
+
+    def counted(agent):
+        propose = agent.propose
+
+        def recorded(st, u):
+            proposals.append(propose(st, u))
+            return proposals[-1]
+
+        agent.propose = recorded
+        return agent
+
+    a = counted(Agent.general(OnlineState(Linear({"u": 3, "v": 1}), UniformMatroid(1))))
+    b = counted(Agent.k_uniform(OnlineState(Linear({"u": 1, "v": 5}), UniformMatroid(4)),
+                                solve_alpha(4)))
+    idx, d = step_bipartite([a, b], "u")
+    assert (idx, len(proposals)) == (0, 2) and d is proposals[0]
+    idx, d = step_bipartite([a, b], "v")  # a is full and v is too light to swap
+    assert (idx, len(proposals)) == (1, 4) and d is proposals[3]
+    assert a.state.feasible == {"u"} and b.state.feasible == {"v"}
+
+
+# -- laws checked by the commits ----------------------------------------------------
+#
+# Each forged decision is one the rules never propose; committing it must
+# raise.  Linear weights make arrival and current weights equal, so the same
+# state serves both views.
+
+
+def linear_members(weights, k, members):
+    """A linear state holding ``members``, accepted through the tracker alone."""
+    st = linear_state(weights, k)
+    for u in members:
+        st.accept(u)
+    return st
+
+
+def forged_commit_error(commit, st, forged, *args):
+    with pytest.raises(InvariantViolation) as err:
+        commit(st, forged, *args)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("view", [CURRENT, ARRIVAL])
+def test_commit_k_uniform_checks_the_replacement_factor(view):
+    st = linear_members({"a": 8, "b": 1, "c": 1, "d": 1, "e": 2}, 4, "abcd")
+    forged = Decision("e", True, evicted="b", w_u=1, w_evicted=1)  # w(e) is 2
+    assert "replacement bound" in forged_commit_error(
+        commit_k_uniform, st, forged, solve_alpha(4), view)
+    assert st.feasible == set("abcd")
+
+
+@pytest.mark.parametrize("view", [CURRENT, ARRIVAL])
+def test_commit_k_uniform_checks_the_threshold(view):
+    # swapping a (8) for e (8.5) raises f by 0.5 and w(A) by 8.5 > alpha * 0.5
+    st = linear_members({"a": 8, "b": 1, "c": 1, "d": 1, "e": 8.5}, 4, "abcd")
+    forged = Decision("e", True, evicted="a", w_u=8.5, w_evicted=1)  # a weighs 8
+    assert "threshold quantity decreased" in forged_commit_error(
+        commit_k_uniform, st, forged, solve_alpha(4), view)
+
+
+@pytest.mark.parametrize("view", [CURRENT, ARRIVAL])
+def test_commit_general_matroid_checks_the_history_bound(view):
+    # swapping a (8) for e (8.5) raises f, but w(A) = 16.5 > 3/2 * w(S)
+    st = linear_members({"a": 8, "e": 8.5}, 1, "a")
+    forged = Decision("e", True, evicted="a", w_u=8.5, w_evicted=8)  # c = 3 asks 24
+    assert "history bound" in forged_commit_error(
+        commit_general_matroid, st, forged, 3, view)
+
+
+def test_commits_check_strict_increase_under_current_weights_only():
+    alpha = solve_alpha(4)
+    for view, capacity_law, exchange_law in (
+        (CURRENT, "did not strictly increase", "did not strictly increase"),
+        (ARRIVAL, "threshold quantity decreased", "history bound"),
+    ):
+        # evicting the heavy a for a light e lowers f
+        st = linear_members({"a": 8, "b": 1, "c": 1, "d": 1, "e": 2}, 4, "abcd")
+        forged = Decision("e", True, evicted="a", w_u=100, w_evicted=1)
+        assert capacity_law in forged_commit_error(commit_k_uniform, st, forged, alpha, view)
+        st = linear_members({"a": 8, "b": 1, "e": 1}, 2, "ab")
+        forged = Decision("e", True, evicted="a", w_u=1, w_evicted=8)
+        assert exchange_law in forged_commit_error(commit_general_matroid, st, forged, 2, view)
+
+
+def test_commits_leave_a_rejected_proposal_uncommitted():
+    alpha = solve_alpha(4)
+    for commit, rule_arg in ((commit_k_uniform, alpha), (commit_general_matroid, 2)):
+        st = linear_members({"a": 8, "e": 2}, 4, "a")
+        rejected = Decision("e", False, w_u=2)
+        assert commit(st, rejected, rule_arg) is rejected
+        assert st.feasible == {"a"} and st.history == ["a"]
 
 
 # -- non-monotone variants -------------------------------------------------------------

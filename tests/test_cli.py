@@ -110,16 +110,20 @@ def test_shipped_example_instance_is_canonical():
     import pathlib
 
     examples = pathlib.Path(__file__).resolve().parents[1] / "docs/examples"
-    for name, selected in (("coverage_small.json", ["feedA", "feedC"]),
-                           ("interval_small.json", ["early", "late"])):
+    for name, alg, key, selected in (
+        ("coverage_small.json", "general", "selected", ["feedA", "feedC"]),
+        ("interval_small.json", "general", "selected", ["early", "late"]),
+        ("bipartite_small.json", "bipartite", "per_agent",
+         [["r1", "r3", "r6", "r9"], ["r5", "r8"]]),
+    ):
         path = examples / name
         text = path.read_text(encoding="utf-8")
         assert Instance.loads(text).dumps() == text
         code, out = run_main(
-            ["run", "--alg", "general", "--instance", str(path), "--check-every-round"]
+            ["run", "--alg", alg, "--instance", str(path), "--check-every-round"]
         )
         assert code == EXIT_OK
-        assert json.loads(out.splitlines()[-1])["selected"] == selected
+        assert json.loads(out.splitlines()[-1])[key] == selected
 
 
 def test_instance_validation_errors(rng):
@@ -234,6 +238,29 @@ def test_run_nonmono_uniform(tmp_path):
          "--check-every-round"]
     )
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("alg, key, matroid", [
+    ("partition-frac", "soft_value",
+     PartitionMatroid({f"e{i}": f"p{i % 2}" for i in range(6)}, {"p0": 1, "p1": 2})),
+    ("nonmono-general", "expected_f", UniformMatroid(3)),
+    ("nonmono-uniform", "expected_f", UniformMatroid(2)),
+])
+def test_randomized_final_value_is_the_last_rounds(tmp_path, alg, key, matroid):
+    # the final record reuses the last round's value; only an empty stream
+    # evaluates it there
+    order = [f"e{i}" for i in range(6)]
+    f = Linear({u: i + 1 for i, u in enumerate(order)})
+    for arrivals in (order, []):
+        path = write_instance(tmp_path, Instance(arrivals, objective=f, matroid=matroid))
+        code, text = run_main(["run", "--alg", alg, "--instance", path, "--seed", "1"])
+        assert code == EXIT_OK
+        lines = [json.loads(l) for l in text.splitlines()]
+        assert len(lines) == len(arrivals) + 1
+        if arrivals:
+            assert 0 < lines[0][key] < lines[-2][key] == lines[-1][key]
+        else:
+            assert lines[0][key] == 0
 
 
 @pytest.mark.parametrize("alg, make_matroid", [
@@ -525,6 +552,24 @@ def test_adversary_uniform_family_small():
     assert code == EXIT_OK
     final = json.loads(text.splitlines()[-1])
     assert final["min_ratio"] is not None
+
+
+def test_adversary_uniform_beyond_float_range_exits_2_promptly():
+    # 2 * 10^7 phases: refused without raising 20/19 to that exact power
+    import pathlib
+    import subprocess
+    import sys as _sys
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    r = subprocess.run(
+        [_sys.executable, "-m", "subfree.cli", "adversary", "--family", "uniform",
+         "--alpha", "3", "--eps", "0.05", "--delta", "0.2", "--k", "100000000",
+         "--alg", "k-uniform", "--quiet"],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert r.returncode == EXIT_INSTANCE, r.stderr
+    assert "beyond float range" in r.stderr
 
 
 def test_verify_sampling_suite():

@@ -5,16 +5,6 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def test_constants_table_script_runs():
-    r = subprocess.run(
-        [sys.executable, "scripts/constants_table.py"],
-        capture_output=True, text=True, cwd=ROOT, timeout=60,
-    )
-    assert r.returncode == 0, r.stderr
-    assert "0.295997" in r.stdout  # k=4 floor
-    assert "best k" in r.stdout
-
-
 def test_hardness_sweep_script_runs():
     r = subprocess.run(
         [sys.executable, "scripts/hardness_sweep.py"],
