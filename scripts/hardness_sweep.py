@@ -3,8 +3,13 @@
 
 For each (family, alpha, rule) prints the certified minimum per-round
 ratio, the round where it happened, and why the stream stopped.
+
+    python scripts/hardness_sweep.py [--k K]
+
+``--k`` sets the uniform family's capacity (default 100).
 """
 
+import argparse
 import sys
 from fractions import Fraction
 
@@ -60,5 +65,8 @@ def sweep_uniform(k: int = 100):
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--k", type=int, default=100, help="uniform family capacity")
+    args = parser.parse_args()
     sweep_partition()
-    sweep_uniform()
+    sweep_uniform(args.k)

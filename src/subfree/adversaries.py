@@ -25,6 +25,9 @@ Each driver writes its stream as one generator, ``_elements``: it yields an
 element, receives the algorithm's visible set after that element was
 offered, and returns the ``Stop``; ``AdversaryDriver.next_element`` starts
 the generator on the first call and sends it each later visible set.
+``run_adversary`` passes the tracker's feasible set itself, an immutable
+snapshot that the next accept replaces, so a driver may keep a visible set
+across a yield and it does not change.
 
 Weight recurrences run in exact rational arithmetic: the sign of the first
 negative term decides termination, and the designed ratio equalities must

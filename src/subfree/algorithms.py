@@ -113,10 +113,19 @@ def _commit(st: OnlineState, d: Decision, view: str) -> None:
 
 
 def _threshold_quantity(st: OnlineState, alpha: AlphaConstant, view: str):
-    """alpha * W - rho * w(A), with W the members' weight total under the view."""
+    """alpha * W - rho * w(A), with W the members' weight total under the view.
+
+    Cached on the state until the next accept, the only change to W and w(A).
+    """
+    key = (len(st.history), alpha, view)
+    cached = st.threshold_cache
+    if cached is not None and cached[0] == key:
+        return cached[1]
     # The result is a float either way; converting w(A) first spares reducing
-    # a large exact rational on every arrival.
-    return alpha.value * st.weight_total(view) - alpha.rho * float(st.w_A_total())
+    # a large exact rational.
+    value = alpha.value * st.weight_total(view) - alpha.rho * float(st.w_A_total())
+    st.threshold_cache = (key, value)
+    return value
 
 
 def propose_k_uniform(st: OnlineState, u: str, alpha: AlphaConstant,

@@ -345,8 +345,11 @@ def _trial_mean(f: Objective, sample: Callable[[int], frozenset], seeds: range):
 
 
 def run_deterministic(instance: Instance, step: Callable, guarantee: Optional[float],
-                      check: bool) -> Tuple[List[dict], dict]:
-    state = OnlineState(instance.objective, instance.matroid)
+                      check: bool, state: Optional[OnlineState] = None
+                      ) -> Tuple[List[dict], dict]:
+    """Step every arrival of the instance; a given fresh ``state`` is stepped in
+    place, so the caller can inspect the final state."""
+    state = state or OnlineState(instance.objective, instance.matroid)
     opts = _reference_optima(instance, check)
     records = []
     for i, u in enumerate(instance.arrival_order):
@@ -602,10 +605,8 @@ def _verify_lemmas(rng: random.Random, cases: int, out) -> int:
         f, m, order = random_instance(rng, rng.randint(5, 9))
         inst = Instance(order, objective=f, matroid=m)
         try:
-            run_deterministic(inst, lambda st, u: step_general_matroid(st, u), 0.25, True)
             st = OnlineState(f, m)
-            for u in order:
-                step_general_matroid(st, u)
+            run_deterministic(inst, lambda st, u: step_general_matroid(st, u), 0.25, True, st)
             gap = greedy_optimality_gap(st)
             if gap > 1e-9:
                 raise InvariantViolation(f"greedy optimality gap {gap}")

@@ -20,10 +20,29 @@ line.  Every weight the keeper reports is checked against the no-decrease
 law, and the cached sum makes f(S) = f(empty) + sum of current weights
 available in O(1).  The arrival-weight total of S is cached too: an accept
 extends it, and an eviction drops it until the next query re-sums it.
+
+Three more caches keep the capacity rule's per-arrival work independent of
+|S|:
+
+* ``feasible`` is an immutable snapshot that ``accept`` replaces and never
+  mutates, so a caller may hold it (``frozenset(state.feasible)`` is the
+  same object) and it never changes under the caller.
+* ``min_member`` over the whole set reads a lazy min-heap of
+  (weight, acceptance index, member) per weight view, built on the first
+  such query.  An accept pushes the new member and each weight the keeper
+  reports; a query pops tops whose member has left S or whose weight is no
+  longer current, and a heap of more than 2|S| entries is rebuilt from the
+  members.  The key is the scan's, so ties still go to the earliest
+  acceptance; a query over explicit candidates keeps the scan.
+* ``threshold_cache`` holds one rule-computed quantity with its key.  Only
+  an accept changes the weights and totals the rules read, and only an
+  accept grows the history, so a key that holds ``len(history)`` stays
+  valid until the next accept.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, FrozenSet, List, Optional
 
 from .matroid import Matroid
@@ -52,7 +71,7 @@ class OnlineState:
         self.history: List[str] = []
         self.acc_index: Dict[str, int] = {}
         self.arrival_w: Dict[str, object] = {}
-        self.feasible: set = set()
+        self.feasible: FrozenSet[str] = frozenset()
         self.frozen_w: Dict[str, object] = {}
         self.f_empty = objective.value(frozenset())
         self._ws: Dict[str, object] = {}
@@ -61,6 +80,8 @@ class OnlineState:
         self._w_arrival_S_sum = 0  # None after an eviction, until recomputed
         self._acc = objective.accumulator()
         self._keeper = objective.current_weights()
+        self._heaps: Dict[str, list] = {}  # view -> lazy min-heap (see module docstring)
+        self.threshold_cache = None  # (key holding len(history), value)
 
     # -- weight queries -------------------------------------------------
 
@@ -118,9 +139,30 @@ class OnlineState:
 
     def min_member(self, candidates=None, view: str = CURRENT):
         """Member of minimal weight under a view; earliest acceptance on ties."""
-        pool = self.feasible if candidates is None else candidates
         weights = self.member_weights(view)
-        return min(pool, key=lambda v: (weights[v], self.acc_index[v]), default=None)
+        if candidates is not None:
+            return min(candidates, key=lambda v: (weights[v], self.acc_index[v]),
+                       default=None)
+        heap = self._heaps.get(view)
+        if heap is None:
+            heap = self._heaps[view] = self._live_heap(view)
+        while heap:
+            w, _, v = heap[0]
+            if v in self.feasible and weights[v] == w:
+                return v
+            heapq.heappop(heap)
+        return None
+
+    def _live_heap(self, view: str) -> list:
+        weights = self.member_weights(view)
+        heap = [(weights[v], self.acc_index[v], v) for v in self.feasible]
+        heapq.heapify(heap)
+        return heap
+
+    def _push(self, view: str, v: str, w) -> None:
+        heap = self._heaps.get(view)
+        if heap is not None:
+            heapq.heappush(heap, (w, self.acc_index[v], v))
 
     # -- the single mutation --------------------------------------------
 
@@ -136,7 +178,7 @@ class OnlineState:
         if evict is not None:
             w_out = self._ws.pop(evict)
             self.frozen_w[evict] = w_out
-            self.feasible.remove(evict)
+            self.feasible = rest
             self._w_S_sum -= w_out
             self._w_arrival_S_sum = None
             for v, new in self._keeper.remove(evict).items():
@@ -147,6 +189,7 @@ class OnlineState:
                     )
                 self._ws[v] = new
                 self._w_S_sum += new - old
+                self._push(CURRENT, v, new)
 
         w_u = self._acc.marginal(u)
         self.acc_index[u] = len(self.history)
@@ -157,6 +200,11 @@ class OnlineState:
             # u is the newest member: the same left fold as a recomputation
             self._w_arrival_S_sum += w_u
         self._acc.add(u)
-        self.feasible.add(u)
+        self.feasible = rest | {u}
         ws_u = self._ws[u] = self._keeper.add(u)
         self._w_S_sum += ws_u
+        self._push(CURRENT, u, ws_u)
+        self._push(ARRIVAL, u, w_u)
+        for view, heap in self._heaps.items():
+            if len(heap) > 2 * len(self.feasible):
+                self._heaps[view] = self._live_heap(view)

@@ -277,7 +277,7 @@ def test_run_adversary_flags_infeasible_algorithm():
     driver = PartitionMonotoneDriver(Fraction(3))
 
     def cheating_step(state, u):
-        state.feasible.add(u)  # bypasses the tracker and the matroid
+        state.feasible = state.feasible | {u}  # bypasses the tracker and the matroid
 
     with pytest.raises(InvariantViolation):
         run_adversary(driver, cheating_step)

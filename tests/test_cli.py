@@ -584,6 +584,26 @@ def test_verify_lemmas_suite():
     assert code == EXIT_OK
 
 
+def test_verify_lemmas_steps_each_arrival_once(monkeypatch):
+    arrivals, steps = [], []
+
+    def instance(*args):
+        f, m, order = cli_random_instance(*args)
+        arrivals.extend(order)
+        return f, m, order
+
+    def step(st, u, *args):
+        steps.append(u)
+        return cli_step(st, u, *args)
+
+    cli_random_instance, cli_step = cli.random_instance, cli.step_general_matroid
+    monkeypatch.setattr(cli, "random_instance", instance)
+    monkeypatch.setattr(cli, "step_general_matroid", step)
+    code, _ = run_main(["verify", "--suite", "lemmas", "--cases", "5", "--seed", "1"])
+    assert code == EXIT_OK
+    assert len(arrivals) == 33 and steps == arrivals
+
+
 def test_verify_rounding_suite():
     code, text = run_main(["verify", "--suite", "rounding", "--cases", "4", "--seed", "7"])
     assert code == EXIT_OK

@@ -14,11 +14,17 @@ from fractions import Fraction
 import pytest
 
 from subfree.adversaries import UniformHardnessDriver, run_adversary
-from subfree.algorithms import solve_alpha, step_general_matroid, step_k_uniform
+from subfree.algorithms import (
+    NonmonotoneUniformRun,
+    _threshold_quantity,
+    solve_alpha,
+    step_general_matroid,
+    step_k_uniform,
+)
 from subfree.matroid import UniformMatroid
 from subfree.objective import IntervalCoverage, Linear, Objective, WeightedCoverage
 from subfree.oracle import random_escalating_instance, random_instance, random_matroid
-from subfree.tracker import OnlineState
+from subfree.tracker import ARRIVAL, CURRENT, OnlineState
 
 
 class OpaqueObjective(Objective):
@@ -213,3 +219,92 @@ def test_ledger_with_float_weights():
             assert fast.f_S() == pytest.approx(f.value(fast.feasible), rel=1e-12)
             evictions += df.evicted is not None
     assert evictions > 0
+
+
+# -- min-member heaps and the threshold cache ------------------------------------------
+
+
+class HeapAudit:
+    """After every step: ``min_member()`` under both views against the full
+    (weight, acc_index) scan, and the rule's cached threshold against a fresh
+    recomputation.  Counts the steps that had a tie at the minimum and the
+    evictions that raised a later member's current weight."""
+
+    def __init__(self, alpha, view):
+        self.alpha, self.view = alpha, view
+        self.ties = self.raises = 0
+        self._before = {}
+
+    def check(self, st):
+        for view in (CURRENT, ARRIVAL):
+            weights = st.member_weights(view)
+            ranked = sorted(st.feasible, key=lambda v: (weights[v], st.acc_index[v]))
+            assert st.min_member(view=view) == (ranked[0] if ranked else None)
+            self.ties += len(ranked) > 1 and weights[ranked[0]] == weights[ranked[1]]
+        now = {v: st.w_S(v) for v in st.feasible}
+        self.raises += any(w > self._before.get(v, w) for v, w in now.items())
+        self._before = now
+        a = self.alpha
+        fresh = a.value * st.weight_total(self.view) - a.rho * float(st.w_A_total())
+        assert _threshold_quantity(st, a, self.view) == fresh
+
+
+def tied_coverage(rng, n, kind):
+    """Elements in pairs with equal private items on an escalating ladder, plus
+    shared items, so that weights tie and evictions hand items on.  ``kind``
+    picks int, Fraction or float weights."""
+    num = {"int": int, "fraction": lambda x: Fraction(x, 7), "float": lambda x: x / 7}[kind]
+    shared = [f"s{j}" for j in range(3)]
+    weights = {i: num(rng.randint(1, 4)) for i in shared}
+    covers = {}
+    for i in range(n):
+        weights[f"x{i:02d}"] = num(round(10 * 1.8 ** (i // 2)))
+        covers[f"e{i:02d}"] = {f"x{i:02d}"} | set(rng.sample(shared, rng.randint(0, 2)))
+    return WeightedCoverage(weights, covers), sorted(covers)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "float"])
+def test_min_member_heaps_match_the_scan_under_the_capacity_rule(kind):
+    ties = raises = 0
+    for trial in range(20):
+        rng = random.Random(800 + trial)
+        k = 4 + trial % 3
+        alpha = solve_alpha(k)
+        f, order = tied_coverage(rng, 24, kind)
+        st = OnlineState(f, UniformMatroid(k))
+        audit = HeapAudit(alpha, CURRENT)
+        for u in order:
+            step_k_uniform(st, u, alpha)
+            audit.check(st)
+        ties += audit.ties
+        raises += audit.raises
+    assert ties > 0 and raises > 0
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "float"])
+def test_min_member_heaps_match_the_scan_under_the_randomized_uniform_run(kind):
+    evictions = 0
+    for trial in range(10):
+        rng = random.Random(900 + trial)
+        f, order = tied_coverage(rng, 12, kind)
+        run = NonmonotoneUniformRun(f, k=2, seed=trial)  # auxiliary capacity 6
+        audit = HeapAudit(run.alpha, ARRIVAL)
+        for u in order:
+            evictions += run.step(u).evicted is not None
+            audit.check(run.state)
+    assert evictions > 0
+
+
+def test_min_member_heaps_match_the_scan_on_the_uniform_stream():
+    k = 12
+    alpha = solve_alpha(k)
+    audit = HeapAudit(alpha, CURRENT)
+    evictions = 0
+
+    def step(st, u):
+        nonlocal evictions
+        evictions += step_k_uniform(st, u, alpha).evicted is not None
+        audit.check(st)
+
+    run_adversary(UniformHardnessDriver(Fraction(3), Fraction(1, 2), Fraction(9, 10), k), step)
+    assert audit.ties > 0 and evictions > 0
