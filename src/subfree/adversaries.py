@@ -328,6 +328,7 @@ def run_adversary(
     min_ratio = None
     min_round = -1
     n = 0
+    last = None  # (f(S), OPT) that ``ratio`` was computed from
     while True:
         nxt = driver.next_element(frozenset(state.feasible))
         if isinstance(nxt, Stop):
@@ -339,9 +340,13 @@ def run_adversary(
         n += 1
         opt = driver.current_opt()
         f_s = state.f_S()
-        ratio = None if opt <= 0 else f_s / opt
-        if ratio is not None and (min_ratio is None or ratio < min_ratio):
-            min_ratio, min_round = ratio, n
+        # most rounds change neither f(S) nor OPT, and an unchanged ratio
+        # cannot undercut the minimum it was already compared with
+        if last is None or last[0] != f_s or last[1] != opt:
+            last = (f_s, opt)
+            ratio = None if opt <= 0 else f_s / opt
+            if ratio is not None and (min_ratio is None or ratio < min_ratio):
+                min_ratio, min_round = ratio, n
         if record_rounds:
             rounds.append(
                 {"round": n, "element": nxt, "f_S": f_s, "opt": opt, "ratio": ratio}

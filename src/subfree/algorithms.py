@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .matroid import UniformMatroid
-from .objective import Objective, ThinnedObjective, sampled_value_p
+from .objective import Objective
 from .tracker import ARRIVAL, CURRENT, InvariantViolation, OnlineState
 
 ALPHA_RESIDUAL = 1e-10
@@ -314,7 +314,7 @@ class NonmonotoneGeneralRun:
     def __init__(self, objective: Objective, matroid, seed: int = 0,
                  coin: Optional[Callable[[], int]] = None):
         self.f = objective
-        self.g = ThinnedObjective(objective, 0.5)
+        self.g = objective.thinned(0.5)
         self.state = OnlineState(self.g, matroid)
         self._rng = random.Random(seed)
         self.coin = coin or (lambda: self._rng.getrandbits(1))
@@ -341,8 +341,8 @@ class NonmonotoneGeneralRun:
         return self._kept({u: rng.getrandbits(1) for u in self.state.history})
 
     def expected_feasible_value(self):
-        """E over the coins of f(kept set), exactly: the half-thinning of S."""
-        return sampled_value_p(self.f, frozenset(self.state.feasible), 0.5)
+        """E over the coins of f(kept set): the half-thinned value of S."""
+        return self.g.value(self.state.feasible)
 
 
 class NonmonotoneUniformRun:
@@ -359,7 +359,7 @@ class NonmonotoneUniformRun:
         self.k = k
         self.rho = rho = 3
         self.alpha = solve_alpha(k, rho=rho)
-        self.g = ThinnedObjective(objective, 1.0 / rho)
+        self.g = objective.thinned(1.0 / rho)
         self.state = OnlineState(self.g, UniformMatroid(rho * k))
         self.slot_of: dict = {}
         self._free: List[int] = list(range(rho * k - 1, -1, -1))  # pop() yields lowest
@@ -390,14 +390,8 @@ class NonmonotoneUniformRun:
         return frozenset(u for u, slot in self.slot_of.items() if slot in chosen)
 
     def expected_feasible_value(self):
-        """E over all rho^k block choices of f(selected occupants)."""
-        total = 0.0
-        count = self.rho**self.k
-        choice = [0] * self.k
-        for idx in range(count):
-            rem = idx
-            for b in range(self.k):
-                choice[b] = rem % self.rho
-                rem //= self.rho
-            total += self.f.value(self.feasible_set(choice))
-        return total / count
+        """E over the block choices of f(selected occupants)."""
+        blocks: List[List[str]] = [[] for _ in range(self.k)]
+        for u, slot in sorted(self.slot_of.items(), key=lambda kv: kv[1]):
+            blocks[slot // self.rho].append(u)
+        return self.f.block_sampled_value(blocks, self.rho)

@@ -92,9 +92,23 @@ def _num_to_json(x):
     return x
 
 
+def _exact(x) -> Fraction:
+    """An exact rational from a number or a string such as "3/400"."""
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise InstanceError(f"{x!r} has a zero denominator") from None
+
+
 def _num_from_json(x):
     if isinstance(x, str):
-        return Fraction(x)
+        return _exact(x)
+    return x
+
+
+def _json_object(x, what: str) -> dict:
+    if not isinstance(x, dict):
+        raise InstanceError(f"{what} must be a JSON object")
     return x
 
 
@@ -160,24 +174,28 @@ def objective_from_json(spec: dict) -> Objective:
         kind = spec["kind"]
         if kind in ("weighted_coverage", "linear"):
             if kind == "linear":
-                f = Linear({k: _num_from_json(v) for k, v in spec["weight"].items()})
+                weight = _json_object(spec["weight"], "weight")
+                f = Linear({k: _num_from_json(v) for k, v in weight.items()})
             else:
+                weight = _json_object(spec["universe_weight"], "universe_weight")
                 f = WeightedCoverage(
-                    {k: _num_from_json(v) for k, v in spec["universe_weight"].items()},
-                    {el: frozenset(items) for el, items in spec["covers"].items()},
+                    {k: _num_from_json(v) for k, v in weight.items()},
+                    {el: frozenset(items)
+                     for el, items in _json_object(spec["covers"], "covers").items()},
                 )
             _check_fits_float("the total weight", f.universe_weight.values())
             return f
         if kind == "interval_coverage":
             return IntervalCoverage(
-                Fraction(spec["epsilon"]),
+                _exact(spec["epsilon"]),
                 {
-                    el: [(Fraction(lo), Fraction(hi)) for lo, hi in ivs]
-                    for el, ivs in spec["covers"].items()
+                    el: [(_exact(lo), _exact(hi)) for lo, hi in ivs]
+                    for el, ivs in _json_object(spec["covers"], "covers").items()
                 },
             )
         if kind == "explicit_table":
-            value = {k: _num_from_json(v) for k, v in spec["value"].items()}
+            value = {k: _num_from_json(v)
+                     for k, v in _json_object(spec["value"], "value").items()}
             # before the table is built: its submodularity check converts to float;
             # floats fit, and other non-numbers are the table's to refuse
             exact = [v for v in value.values() if isinstance(v, (int, Fraction))]
@@ -212,7 +230,8 @@ def matroid_from_json(spec: dict) -> Matroid:
         if kind == "uniform":
             return UniformMatroid(spec["k"])
         if kind == "partition":
-            return PartitionMatroid(spec["part_of"], spec["capacity"])
+            return PartitionMatroid(_json_object(spec["part_of"], "part_of"),
+                                    _json_object(spec["capacity"], "capacity"))
         if kind == "explicit":
             return ExplicitMatroid(spec["ground"], [frozenset(s) for s in spec["maximal_sets"]])
         raise InstanceError(f"unknown matroid kind {kind!r}")
@@ -265,6 +284,7 @@ class Instance:
     @classmethod
     def from_json(cls, doc: dict) -> "Instance":
         try:
+            _json_object(doc, "an instance document")
             if "agents" in doc:
                 agents = [
                     (objective_from_json(a["objective"]), matroid_from_json(a["matroid"]))
@@ -408,9 +428,16 @@ def run_nonmono(instance: Instance, kind: str, seed: int, trials: int,
         run = NonmonotoneGeneralRun(instance.objective, instance.matroid, seed=seed)
         guarantee = 1.0 / 16.0
     else:
-        if not isinstance(instance.matroid, UniformMatroid):
-            raise InstanceError("nonmono-uniform needs a uniform matroid")
-        run = NonmonotoneUniformRun(instance.objective, instance.matroid.k, seed=seed)
+        m = instance.matroid
+        if isinstance(m, UniformMatroid):
+            k = m.k
+        elif isinstance(m, PartitionMatroid) and len(m.capacity) == 1:
+            # every arrival carries the one part's label: the uniform matroid of its capacity
+            (k,) = m.capacity.values()
+        else:
+            raise InstanceError(
+                "nonmono-uniform needs a uniform matroid or a partition matroid of one part")
+        run = NonmonotoneUniformRun(instance.objective, k, seed=seed)
         guarantee = run.alpha.ratio * (1 - 1 / run.rho)
     opts = _reference_optima(instance, check)
     records = []
@@ -512,7 +539,7 @@ def _cmd_run_inner(instance, args, seed, check, alg, out) -> int:
         params = {"k": k, "routed": "best-singleton" if k <= 3 else "capacity-rule"}
         records, final = run_deterministic(instance, step, guarantee, check)
     elif alg == "general":
-        c = Fraction(str(args.c))
+        c = _exact(str(args.c))
         step = lambda st, u: step_general_matroid(st, u, c)
         records, final = run_deterministic(instance, step, 0.25, check)
         params = {"c": float(c)}
@@ -523,7 +550,7 @@ def _cmd_run_inner(instance, args, seed, check, alg, out) -> int:
         records, final = run_deterministic(instance, step_best_singleton, guarantee, check)
     elif alg == "partition-frac":
         records, final = run_fractional(
-            instance, Fraction(str(args.delta)), seed, args.trials, check
+            instance, _exact(str(args.delta)), seed, args.trials, check
         )
         params = {"delta": args.delta}
     elif alg in ("nonmono-general", "nonmono-uniform"):
@@ -569,13 +596,13 @@ def _adversary_step(args):
 
 
 def cmd_adversary(args, out) -> int:
-    alpha = Fraction(str(args.alpha))
+    alpha = _exact(str(args.alpha))
     kwargs = {}
     if args.family == "uniform":
         if args.k is None:
             raise InstanceError("the uniform family needs --k")
         kwargs = {
-            "epsilon": Fraction(str(args.eps)), "delta": Fraction(str(args.delta)),
+            "epsilon": _exact(str(args.eps)), "delta": _exact(str(args.delta)),
             "k": args.k,
         }
     driver = make_driver(args.family, alpha, **kwargs)

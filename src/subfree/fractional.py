@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .matroid import PartitionMatroid
-from .objective import Objective, soft_marginal_rate, soft_value
+from .objective import Objective
 from .tracker import InvariantViolation
 
 THRESHOLD_TOL = 1e-9
@@ -68,6 +68,11 @@ class FractionalState:
             l: int(cap / self.delta) for l, cap in self.parts.items()
         }
         self.hist_units: Dict[str, int] = {}
+        self._live_units: Dict[str, int] = {}
+        # each element's float(n * delta) for its n history and live units,
+        # kept per unit, so a step does not rebuild the mass vectors
+        self._hist_mass: Dict[str, float] = {}
+        self._live_mass: Dict[str, float] = {}
         self.live: Dict[str, Dict[int, Unit]] = {l: {} for l in self.parts}
         self._free: Dict[str, List[int]] = {
             l: list(range(n - 1, -1, -1)) for l, n in self.slots_per_part.items()
@@ -81,17 +86,20 @@ class FractionalState:
     # -- mass views -------------------------------------------------------
 
     def history_masses(self) -> Dict[str, float]:
-        return {u: float(n * self.delta) for u, n in self.hist_units.items() if n}
+        return dict(self._hist_mass)
 
     def live_masses(self) -> Dict[str, float]:
-        counts: Dict[str, int] = {}
-        for part_units in self.live.values():
-            for unit in part_units.values():
-                counts[unit.element] = counts.get(unit.element, 0) + 1
-        return {u: float(n * self.delta) for u, n in counts.items()}
+        return dict(self._live_mass)
 
     def soft_value_live(self):
-        return soft_value(self.objective, self.live_masses())
+        return self.objective.soft_value(self._live_mass)
+
+    def _count(self, units: Dict[str, int], masses: Dict[str, float], u: str, step: int) -> None:
+        n = units[u] = units.get(u, 0) + step
+        if n:
+            masses[u] = float(n * self.delta)
+        else:
+            del units[u], masses[u]
 
     def part_threshold(self, part: str) -> float:
         return (self.alpha * self.w_live[part] - self.w_hist[part]) / self.parts[part]
@@ -105,7 +113,7 @@ class FractionalState:
         trace: List[dict] = []
         guard = 8 * cap_units + 16
         for _ in range(guard):
-            rate = soft_marginal_rate(self.objective, u, self.history_masses())
+            rate = self.objective.soft_rate(u, self._hist_mass)
             threshold = self.part_threshold(part)
             if not (rate > threshold and rate > 0):
                 break
@@ -136,7 +144,8 @@ class FractionalState:
         slot = self._free[part].pop()
         unit = Unit(u, self._seq, rate, slot)
         self.live[part][slot] = unit
-        self.hist_units[u] = self.hist_units.get(u, 0) + 1
+        self._count(self.hist_units, self._hist_mass, u, 1)
+        self._count(self._live_units, self._live_mass, u, 1)
         d = float(self.delta)
         self.w_live[part] += d * rate
         self.w_hist[part] += d * rate
@@ -146,6 +155,7 @@ class FractionalState:
     def _evict_weakest(self, part: str, trace: List[dict]) -> None:
         unit = self._weakest(part)
         del self.live[part][unit.slot]
+        self._count(self._live_units, self._live_mass, unit.element, -1)
         self._free[part].append(unit.slot)
         self._free[part].sort(reverse=True)  # pop() keeps yielding the lowest slot
         self.w_live[part] -= float(self.delta) * unit.weight

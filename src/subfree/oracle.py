@@ -18,8 +18,6 @@ from .objective import (
     Objective,
     ObjectiveError,
     WeightedCoverage,
-    soft_marginal_rate,
-    soft_value,
     subset_key,
 )
 
@@ -155,8 +153,8 @@ def check_f_vs_fhat(
     """Verify f(O) <= soft_value(A) + sum over O of the soft marginal rates."""
     opt_set = frozenset(opt_set)
     lhs = objective.value(opt_set)
-    rhs = soft_value(objective, masses) + sum(
-        soft_marginal_rate(objective, v, masses) for v in sorted(opt_set)
+    rhs = objective.soft_value(masses) + sum(
+        objective.soft_rate(v, masses) for v in sorted(opt_set)
     )
     slack = rhs - lhs
     return slack >= -1e-9, slack

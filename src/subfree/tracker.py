@@ -33,7 +33,9 @@ Three more caches keep the capacity rule's per-arrival work independent of
   reports; a query pops tops whose member has left S or whose weight is no
   longer current, and a heap of more than 2|S| entries is rebuilt from the
   members.  The key is the scan's, so ties still go to the earliest
-  acceptance; a query over explicit candidates keeps the scan.
+  acceptance.  A query over candidates that are all of S (the exchange
+  candidates on a full uniform matroid) reads the heap too; one over a
+  proper subset keeps the scan.
 * ``threshold_cache`` holds one rule-computed quantity with its key.  Only
   an accept changes the weights and totals the rules read, and only an
   accept grows the history, so a key that holds ``len(history)`` stays
@@ -140,7 +142,8 @@ class OnlineState:
     def min_member(self, candidates=None, view: str = CURRENT):
         """Member of minimal weight under a view; earliest acceptance on ties."""
         weights = self.member_weights(view)
-        if candidates is not None:
+        if candidates is not None and not (candidates is self.feasible
+                                           or candidates == self.feasible):
             return min(candidates, key=lambda v: (weights[v], self.acc_index[v]),
                        default=None)
         heap = self._heaps.get(view)

@@ -1,10 +1,12 @@
 import io
 import json
 import os
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import subfree.cli as cli
 from subfree.adversaries import make_driver, run_adversary
@@ -21,12 +23,16 @@ from subfree.cli import (
     objective_from_json,
     objective_to_json,
 )
+from subfree.fractional import FractionalState
 from subfree.matroid import PartitionMatroid, UniformMatroid
-from subfree.objective import Linear
+from subfree.objective import EXACT_SUPPORT_LIMIT, Linear
 from subfree.oracle import assignment_prefix_optima, random_instance
 from subfree.tracker import InvariantViolation
 
 from conftest import random_coverage
+
+
+EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "docs/examples"
 
 
 def make_instance(rng=None, n=8, matroid_kind=None) -> Instance:
@@ -135,6 +141,74 @@ def test_instance_validation_errors(rng):
         Instance(order + ["ghost"], objective=f, matroid=UniformMatroid(2))
     with pytest.raises(InstanceError):
         Instance(order, objective=f, matroid=PartitionMatroid({}, {"p": 1}))
+
+
+# Instance-shaped documents: each field is either of the expected shape, with
+# numbers that may be out of range or malformed, or an arbitrary JSON value.
+_IDS = ["e0", "e1", "e2", "x0", "p0"]
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(_IDS + ["", "1/2", "1/0", "-1/3", "1e400", "x/y"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8)
+_num = st.integers(-1, 9) | st.sampled_from([0.5, 1e308, "1/2", "1/0", "-1/3", "1e400", "x"])
+_ids = st.lists(st.sampled_from(_IDS), max_size=4)
+
+
+def _doc(kind, **fields):
+    return st.fixed_dictionaries({"kind": st.just(kind),
+                                  **{k: v | _json for k, v in fields.items()}})
+
+
+_objectives = st.one_of(
+    _doc("linear", weight=st.dictionaries(st.sampled_from(_IDS), _num, max_size=3)),
+    _doc("weighted_coverage",
+         universe_weight=st.dictionaries(st.sampled_from(_IDS), _num, max_size=3),
+         covers=st.dictionaries(st.sampled_from(_IDS), _ids, max_size=3)),
+    _doc("interval_coverage", epsilon=_num,
+         covers=st.dictionaries(st.sampled_from(_IDS),
+                                st.lists(st.lists(_num, min_size=2, max_size=2), max_size=2),
+                                max_size=3)),
+    _doc("explicit_table", ground=_ids,
+         value=st.dictionaries(st.sampled_from(["", "e0", "e1", "e0,e1"]), _num, max_size=4)),
+)
+_matroids = st.one_of(
+    _doc("uniform", k=_num),
+    _doc("partition",
+         part_of=st.dictionaries(st.sampled_from(_IDS), st.sampled_from(["p0", "p1"]),
+                                 max_size=3),
+         capacity=st.dictionaries(st.sampled_from(["p0", "p1"]), _num, max_size=2)),
+    _doc("explicit", ground=_ids, maximal_sets=st.lists(_ids, max_size=3)),
+)
+_documents = _json | st.fixed_dictionaries(
+    {"arrival_order": _ids | _json, "objective": _objectives | _json,
+     "matroid": _matroids | _json},
+    optional={"metadata": _json, "agents": st.lists(
+        st.fixed_dictionaries({"objective": _objectives, "matroid": _matroids}),
+        max_size=2) | _json})
+
+
+@settings(max_examples=400)
+@given(_documents)
+def test_instance_loads_returns_an_instance_or_an_instance_error(doc):
+    try:
+        inst = Instance.loads(json.dumps(doc))
+    except InstanceError:
+        return
+    assert isinstance(inst, Instance)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--alg", "general", "--c", "1/0"],
+    ["run", "--alg", "partition-frac", "--delta", "1/0"],
+    ["adversary", "--family", "partition-general", "--alpha", "1/0"],
+])
+def test_zero_denominator_argument_exits_2(argv, capsys):
+    if argv[0] == "run":
+        argv = argv + ["--instance", str(EXAMPLES / "coverage_small.json")]
+    assert run_main(argv)[0] == EXIT_INSTANCE
+    assert "zero denominator" in capsys.readouterr().err
 
 
 # -- run command --------------------------------------------------------------------
@@ -570,6 +644,68 @@ def test_adversary_uniform_beyond_float_range_exits_2_promptly():
     )
     assert r.returncode == EXIT_INSTANCE, r.stderr
     assert "beyond float range" in r.stderr
+
+
+def test_nonmono_uniform_at_k_20_finishes_promptly(tmp_path):
+    # 30 coverage elements at k=20: the expected value no longer enumerates
+    # the 3^20 block choices of each round
+    import subprocess
+    import sys as _sys
+
+    f = random_coverage(random.Random(30), 30, n_items=12)
+    path = write_instance(tmp_path, Instance(sorted(f.elements()), objective=f,
+                                             matroid=UniformMatroid(20)))
+    env = dict(os.environ, PYTHONPATH=str(EXAMPLES.parents[1] / "src"))
+    r = subprocess.run(
+        [_sys.executable, "-m", "subfree.cli", "run", "--alg", "nonmono-uniform",
+         "--instance", path, "--seed", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert r.returncode == EXIT_OK, r.stderr
+    assert len(r.stdout.splitlines()) == 31
+
+
+def test_nonmono_uniform_reads_k_off_a_partition_matroid_of_one_part(tmp_path, capsys):
+    f = random_coverage(random.Random(12), 9)
+    order = sorted(f.elements())
+    outputs = []
+    for m in (UniformMatroid(2), PartitionMatroid(dict.fromkeys(order, "all"), {"all": 2})):
+        path = write_instance(tmp_path, Instance(order, objective=f, matroid=m))
+        code, out = run_main(["run", "--alg", "nonmono-uniform", "--instance", path,
+                              "--seed", "3", "--trials", "4", "--check-every-round"])
+        assert code == EXIT_OK
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    two_parts = PartitionMatroid({u: f"p{i % 2}" for i, u in enumerate(order)}, {"p0": 1, "p1": 1})
+    path = write_instance(tmp_path, Instance(order, objective=f, matroid=two_parts))
+    assert run_main(["run", "--alg", "nonmono-uniform", "--instance", path])[0] == EXIT_INSTANCE
+    assert "partition matroid of one part" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alg", ["partition-frac", "nonmono-general", "nonmono-uniform"])
+def test_randomized_rules_run_past_the_enumeration_limit_on_the_wide_example(alg):
+    path = EXAMPLES / "coverage_wide.json"
+    text = path.read_text(encoding="utf-8")
+    inst = Instance.loads(text)
+    assert inst.dumps() == text
+    assert len(inst.arrival_order) >= 40 and list(inst.matroid.capacity.values()) == [20]
+    code, out = run_main(["run", "--alg", alg, "--instance", str(path), "--seed", "1",
+                          "--trials", "5"])
+    assert code == EXIT_OK
+    lines = [json.loads(l) for l in out.splitlines()]
+    assert len(lines) == len(inst.arrival_order) + 1
+    if alg == "partition-frac":
+        # the history support that prices each step
+        state = FractionalState(inst.objective, inst.matroid, delta=Fraction(1, 50))
+        for u in inst.arrival_order:
+            state.step(u)
+        largest = len(state.history_masses())
+    else:
+        size = largest = 0  # of the auxiliary set S
+        for rec in lines[:-1]:
+            size += (rec["decision"] == "accept") - (rec["evicted"] is not None)
+            largest = max(largest, size)
+    assert largest > EXACT_SUPPORT_LIMIT
 
 
 def test_verify_sampling_suite():

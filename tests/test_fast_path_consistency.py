@@ -6,15 +6,25 @@ coverage) that the tracker uses to skip recomputation.  Wrapping the same
 objective in an opaque shell (conservative interaction answers, generic
 accumulator and keeper) forces the slow definitional path; both paths must
 produce identical decisions, weights, and values on identical streams.
+
+The closed-form extensions of weighted coverage (soft value and rate, the
+thinned oracle with its accumulator and keeper, the block-sampled value)
+are checked against the enumerations they replace.  Float enumeration and a
+closed form round differently, so those checks allow 1e-12 relative to the
+objective's total weight, the scale of the values an enumerated marginal is
+the difference of.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subfree.adversaries import UniformHardnessDriver, run_adversary
 from subfree.algorithms import (
+    NonmonotoneGeneralRun,
     NonmonotoneUniformRun,
     _threshold_quantity,
     solve_alpha,
@@ -22,7 +32,18 @@ from subfree.algorithms import (
     step_k_uniform,
 )
 from subfree.matroid import UniformMatroid
-from subfree.objective import IntervalCoverage, Linear, Objective, WeightedCoverage
+from subfree.objective import (
+    IntervalCoverage,
+    Linear,
+    Objective,
+    ObjectiveError,
+    ThinnedCoverage,
+    WeightedCoverage,
+    block_sampled_value,
+    sampled_value_p,
+    soft_marginal_rate,
+    soft_value,
+)
 from subfree.oracle import random_escalating_instance, random_instance, random_matroid
 from subfree.tracker import ARRIVAL, CURRENT, OnlineState
 
@@ -231,7 +252,7 @@ class HeapAudit:
     evictions that raised a later member's current weight."""
 
     def __init__(self, alpha, view):
-        self.alpha, self.view = alpha, view
+        self.alpha, self.view = alpha, view  # alpha None: a rule without a threshold
         self.ties = self.raises = 0
         self._before = {}
 
@@ -239,14 +260,19 @@ class HeapAudit:
         for view in (CURRENT, ARRIVAL):
             weights = st.member_weights(view)
             ranked = sorted(st.feasible, key=lambda v: (weights[v], st.acc_index[v]))
-            assert st.min_member(view=view) == (ranked[0] if ranked else None)
+            least = ranked[0] if ranked else None
+            assert st.min_member(view=view) == least
+            # candidates that are all of S, as the same or an equal set, read the heap
+            assert st.min_member(st.feasible, view) == least
+            assert st.min_member(frozenset(ranked), view) == least
             self.ties += len(ranked) > 1 and weights[ranked[0]] == weights[ranked[1]]
         now = {v: st.w_S(v) for v in st.feasible}
         self.raises += any(w > self._before.get(v, w) for v, w in now.items())
         self._before = now
         a = self.alpha
-        fresh = a.value * st.weight_total(self.view) - a.rho * float(st.w_A_total())
-        assert _threshold_quantity(st, a, self.view) == fresh
+        if a is not None:
+            fresh = a.value * st.weight_total(self.view) - a.rho * float(st.w_A_total())
+            assert _threshold_quantity(st, a, self.view) == fresh
 
 
 def tied_coverage(rng, n, kind):
@@ -295,6 +321,29 @@ def test_min_member_heaps_match_the_scan_under_the_randomized_uniform_run(kind):
     assert evictions > 0
 
 
+@pytest.mark.parametrize("kind", ["int", "fraction", "float"])
+def test_min_member_heaps_match_the_scan_under_the_exchange_rule(kind):
+    # on a full uniform matroid every member is an exchange candidate
+    ties = raises = evictions = 0
+    for trial in range(20):
+        rng = random.Random(1000 + trial)
+        f, order = tied_coverage(rng, 24, kind)
+        k = 4 + trial % 3
+        plain = OnlineState(f, UniformMatroid(k))
+        for u in order:
+            step_general_matroid(plain, u)
+        assert set(plain._heaps) == {CURRENT}  # the rule's own query built the heap
+        st = OnlineState(f, UniformMatroid(k))
+        audit = HeapAudit(None, CURRENT)
+        for u in order:
+            evictions += step_general_matroid(st, u).evicted is not None
+            audit.check(st)
+        assert st.feasible == plain.feasible
+        ties += audit.ties
+        raises += audit.raises
+    assert ties > 0 and raises > 0 and evictions > 0
+
+
 def test_min_member_heaps_match_the_scan_on_the_uniform_stream():
     k = 12
     alpha = solve_alpha(k)
@@ -308,3 +357,140 @@ def test_min_member_heaps_match_the_scan_on_the_uniform_stream():
 
     run_adversary(UniformHardnessDriver(Fraction(3), Fraction(1, 2), Fraction(9, 10), k), step)
     assert audit.ties > 0 and evictions > 0
+
+
+# -- closed-form extensions on weighted coverage ---------------------------------------
+
+
+REL = 1e-12
+
+
+def close(a, b, f):
+    """Within REL of the objective's total weight (see the module docstring)."""
+    return abs(a - b) <= REL * max(abs(b), float(sum(f.universe_weight.values())))
+
+
+@st.composite
+def coverages(draw, max_elements, min_weight=0):
+    """Coverage with int, Fraction or float weights; at most ``max_elements``
+    elements, so every enumeration stays within its limit."""
+    kind = draw(st.sampled_from(["int", "fraction", "float"]))
+    num = {"int": int, "fraction": lambda x: Fraction(x, 7), "float": lambda x: x / 7}[kind]
+    n_items = draw(st.integers(1, 7))
+    items = [f"x{i}" for i in range(n_items)]
+    weights = {i: num(draw(st.integers(min_weight, 30))) for i in items}
+    n = draw(st.integers(1, max_elements))
+    covers = {f"e{j:02d}": draw(st.frozensets(st.sampled_from(items), min_size=1, max_size=3))
+              for j in range(n)}
+    return WeightedCoverage(weights, covers)
+
+
+@settings(max_examples=40)
+@given(coverages(12), st.data())
+def test_soft_extension_closed_forms_match_enumeration(f, data):
+    ground = sorted(f.elements())
+    masses = {el: data.draw(st.floats(0, 3)) for el in ground if data.draw(st.booleans())}
+    assert close(f.soft_value(masses), soft_value(f, masses), f)
+    for u in data.draw(st.lists(st.sampled_from(ground), max_size=3, unique=True)):
+        assert close(f.soft_rate(u, masses), soft_marginal_rate(f, u, masses), f)
+
+
+def assert_prefix_weights(f, p, members, weights):
+    """Each member's weight against the enumerated thinned marginal over the
+    members added before it."""
+    before = sampled_value_p(f, [], p)
+    for j, u in enumerate(members):
+        after = sampled_value_p(f, members[: j + 1], p)
+        assert close(weights[u], after - before, f)
+        before = after
+
+
+@settings(max_examples=40)
+@given(coverages(9, min_weight=1), st.sampled_from([0.5, 1 / 3, 0.8]), st.data())
+def test_thinned_coverage_matches_enumeration_after_every_step(f, p, data):
+    g = f.thinned(p)
+    assert isinstance(g, ThinnedCoverage)
+    acc, keeper = g.accumulator(), g.current_weights()
+    history, members, weights = [], [], {}
+    for u in data.draw(st.permutations(sorted(f.elements()))):
+        expected = sampled_value_p(f, history + [u], p) - sampled_value_p(f, history, p)
+        assert close(acc.marginal(u), expected, f)
+        assert close(g.marginal(u, members), sampled_value_p(f, members + [u], p)
+                     - sampled_value_p(f, members, p), f)
+        acc.add(u)
+        history.append(u)
+        weights[u] = keeper.add(u)
+        members.append(u)
+        assert_prefix_weights(f, p, members, weights)
+        if data.draw(st.booleans()):
+            v = data.draw(st.sampled_from(members))
+            cut = members.index(v)
+            later = {w for w in members[cut + 1:] if f.covers[w] & f.covers[v]}
+            changed = keeper.remove(v)
+            assert set(changed) == later  # every later holder of v's items moves up
+            del members[cut], weights[v]
+            weights.update(changed)
+            assert_prefix_weights(f, p, members, weights)
+        assert close(g.value(members), sampled_value_p(f, members, p), f)
+
+
+def blocks_by_enumeration(run):
+    """E over all rho^k block choices of f(selected occupants), as defined."""
+    choices = itertools.product(range(run.rho), repeat=run.k)
+    values = [run.f.value(run.feasible_set(list(c))) for c in choices]
+    return sum(values) / len(values)
+
+
+@settings(max_examples=30)
+@given(coverages(9), st.integers(0, 2**32 - 1), st.sampled_from(["general", "uniform"]))
+def test_randomized_runs_on_closed_forms_match_enumeration(shape, seed, rule):
+    # float weights drawn off any lattice: equal weights, whose order a
+    # closed form and an enumeration may round apart, do not occur
+    rng = random.Random(seed)
+    f = WeightedCoverage({i: rng.uniform(1, 30) for i in shape.universe_weight}, shape.covers)
+    order = sorted(f.elements())
+    rng.shuffle(order)
+    if rule == "general":
+        fast, slow = (NonmonotoneGeneralRun(g, UniformMatroid(3), seed=seed)
+                      for g in (f, OpaqueObjective(f)))
+        expected = lambda run: sampled_value_p(f, run.state.feasible, 0.5)
+    else:
+        fast, slow = (NonmonotoneUniformRun(g, k=2, seed=seed) for g in (f, OpaqueObjective(f)))
+        expected = blocks_by_enumeration
+    for u in order:
+        df, ds = fast.step(u), slow.step(u)
+        assert (df.accepted, df.evicted) == (ds.accepted, ds.evicted)
+        assert close(df.w_u, ds.w_u, f)
+        assert close(fast.state.f_S(), slow.state.f_S(), f)
+        for v in fast.state.feasible:
+            assert close(fast.state.w_S(v), slow.state.w_S(v), f)
+        reference = expected(slow)
+        assert close(fast.expected_feasible_value(), reference, f)
+        assert close(slow.expected_feasible_value(), reference, f)
+
+
+@settings(max_examples=40)
+@given(coverages(12), st.data())
+def test_block_sampled_value_matches_enumeration(f, data):
+    ground = sorted(f.elements())
+    rho = data.draw(st.integers(1, 3))
+    blocks, rest = [], data.draw(st.permutations(ground))
+    while rest and len(blocks) < 6:
+        n = data.draw(st.integers(0, rho))
+        blocks.append(list(rest[:n]))
+        rest = rest[n:]
+    by_choice = [f.value(frozenset(b[c] for b, c in zip(blocks, choice) if c < len(b)))
+                 for choice in itertools.product(range(rho), repeat=len(blocks))]
+    reference = sum(by_choice) / len(by_choice)
+    assert close(f.block_sampled_value(blocks, rho), reference, f)
+    assert close(block_sampled_value(f, blocks, rho), reference, f)
+
+
+def test_block_sampled_value_refuses_beyond_the_limit():
+    f = Linear({f"e{i:02d}": 1 for i in range(16)})
+    blocks = [[f"e{2 * b:02d}", f"e{2 * b + 1:02d}"] for b in range(8)]
+    assert f.block_sampled_value(blocks, 3) == pytest.approx(16 * 1 / 3)
+    with pytest.raises(ObjectiveError, match="support 16 exceeds"):
+        OpaqueObjective(f).block_sampled_value(blocks, 3)
+    with pytest.raises(ObjectiveError, match="cannot hold"):
+        f.block_sampled_value([["e00", "e01"]], 1)

@@ -106,6 +106,28 @@ def test_live_mass_never_exceeds_capacity():
             assert mass <= cap
 
 
+def test_kept_mass_vectors_match_the_units():
+    # escalating chains keep draining the older elements' units
+    drains = 0
+    for trial in range(6):
+        rng = random.Random(40 + trial)
+        n = 9
+        f = WeightedCoverage(
+            {f"x{j}": rng.randint(8, 12) * 3**j // 2**j for j in range(n)},
+            {f"e{j}": [f"x{j}"] + ([f"x{j - 1}"] if j else []) for j in range(n)})
+        st = FractionalState(f, partition_for(sorted(f.elements()), rng), delta=Fraction(1, 10))
+        for u in (f"e{j}" for j in range(n)):
+            drains += sum(e["event"] == "drain" for e in st.step(u))
+            live = {}
+            for units in st.live.values():
+                for unit in units.values():
+                    live[unit.element] = live.get(unit.element, 0) + 1
+            assert st.live_masses() == {v: float(c * st.delta) for v, c in live.items()}
+            assert st.history_masses() == {v: float(c * st.delta)
+                                           for v, c in st.hist_units.items()}
+    assert drains > 0
+
+
 def test_slot_map_injective_on_live_units():
     rng = random.Random(9)
     f = random_coverage(rng, 7)
