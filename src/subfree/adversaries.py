@@ -12,7 +12,11 @@ Families:
   offers the union of exactly the intervals the algorithm kept (worthless
   to it, one cheap quota slot for the optimum).  The thin intervals are
   disjoint, so the driver grows a plain ``WeightedCoverage``, one item per
-  thin interval, phase by phase.
+  thin interval, phase by phase.  With epsilon = p/q over P phases, a
+  phase-i interval weighs (q/(q-p))^i / k, the int q^i (q-p)^(P-i) over
+  the common denominator ``unit`` = k (q-p)^P, so the coverage is built on
+  those ints with that ``unit`` (see the objective module) and every
+  per-arrival sum and comparison is an int operation.
 * ``PartitionMonotoneDriver`` - capacity-1 parts; phase i offers the item
   once in the contested part and once in a private part, with weights from
   sum_{j<=i+1} a_j = alpha * a_i, driven until the recurrence
@@ -32,6 +36,12 @@ across a yield and it does not change.
 Weight recurrences run in exact rational arithmetic: the sign of the first
 negative term decides termination, and the designed ratio equalities must
 survive thousands of additions untouched.
+
+A driver keeps its optimum in its objective's ``unit``; ``current_opt()``,
+``Stop`` and ``run_adversary``'s round records divide it out and hold exact
+original values.  ``run_adversary`` compares f(S) / OPT with the running
+minimum by cross-multiplying the kept values, and builds a ratio only for a
+record and for the minimum it returns.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Generator, List, Optional
 
 from .matroid import PartitionMatroid, UniformMatroid
-from .objective import FLOAT_MAX, WeightedCoverage
+from .objective import FLOAT_MAX, WeightedCoverage, unscaled
 from .tracker import InvariantViolation, OnlineState
 
 ALPHA_INF = 3.14619  # only used for range warnings
@@ -76,7 +86,7 @@ class AdversaryDriver:
     matroid = None
     range_warning: Optional[str] = None
     terminated: Optional[Stop] = None
-    _opt = Fraction(0)
+    _opt = Fraction(0)  # in the objective's unit
     _stream = None
 
     def _elements(self) -> Generator[str, frozenset, Stop]:
@@ -95,13 +105,19 @@ class AdversaryDriver:
             return done.value
 
     def current_opt(self):
+        """OPT of the arrived prefix in original units."""
+        return unscaled(self._opt, self.objective.unit)
+
+    def scaled_opt(self):
+        """OPT of the arrived prefix in the objective's units."""
         return self._opt
 
     def _stop(self, reason: str, visible: frozenset) -> Stop:
-        opt = self.current_opt()
+        opt, unit = self._opt, self.objective.unit
         val = self.objective.value(visible)
         ratio = None if opt <= 0 else Fraction(val) / Fraction(opt)
-        return Stop(reason, ratio=ratio, opt=opt, algorithm_value=val)
+        return Stop(reason, ratio=ratio, opt=unscaled(opt, unit),
+                    algorithm_value=unscaled(val, unit))
 
 
 def monotone_weight_sequence(alpha: Fraction, cap: int = PHASE_CAP) -> List[Fraction]:
@@ -243,7 +259,8 @@ class UniformHardnessDriver(AdversaryDriver):
     """Phases of 2k thin intervals plus the union of whatever was kept.
 
     Thin interval j of phase i, [i-1 + (j-1)/2k, i-1 + j/2k), is one new
-    item of weight ``cell_weight(i)``; a union covers its intervals' items.
+    item of weight ``cell_weight(i)``, registered as the int
+    ``cell_weight(i) * unit``; a union covers its intervals' items.
     """
 
     def __init__(self, alpha, epsilon, delta, k: int):
@@ -269,10 +286,12 @@ class UniformHardnessDriver(AdversaryDriver):
         if gap > 1e-9 or gap > -1e-9 and 2 * self._growth ** self.phases / eps > FLOAT_MAX:
             raise ValueError(f"{self.phases} phases at epsilon={epsilon} give values "
                              "beyond float range")
-        self.objective = WeightedCoverage({}, {})
+        self.objective = WeightedCoverage(
+            {}, {}, unit=k * (eps.denominator - eps.numerator) ** self.phases)
         self.matroid = UniformMatroid(k)
         self.union_taken: List[str] = []
-        self.kept_value = Fraction(0)  # sum over finished phases of x_j w_j
+        self._opt = 0
+        self.kept_value = 0  # sum over finished phases of x_j w_j, in units
         self.x: List[Fraction] = []
 
     def cell_id(self, i: int, j: int) -> str:
@@ -285,8 +304,9 @@ class UniformHardnessDriver(AdversaryDriver):
     def _elements(self):
         k = self.k
         f = self.objective
+        p, q = self.epsilon.numerator, self.epsilon.denominator
         for i in range(1, self.phases + 1):
-            w = self.cell_weight(i)
+            w = q ** i * (q - p) ** (self.phases - i)  # cell_weight(i) in units
             # step (a): 2k thin intervals tiling [i-1, i)
             for j in range(1, 2 * k + 1):
                 el = self.cell_id(i, j)
@@ -320,15 +340,19 @@ def run_adversary(
     """Drive an online step rule against an adaptive stream.
 
     The algorithm's state must stay independent; a violation is reported as
-    an algorithm bug.  Returns the full per-round log, the minimum ratio
-    over rounds, and the driver's termination report.
+    an algorithm bug.  A given ``state`` must share the driver objective's
+    ``unit``.  Returns the full per-round log, the minimum ratio over rounds,
+    and the driver's termination report.
     """
     state = state or OnlineState(driver.objective, driver.matroid)
+    unit = driver.objective.unit
+    if state.unit != unit:
+        raise ValueError("the state's objective and the driver's have different units")
     rounds: List[dict] = []
-    min_ratio = None
+    least = None  # (f(S), OPT) of the minimum ratio, in units
     min_round = -1
     n = 0
-    last = None  # (f(S), OPT) that ``ratio`` was computed from
+    last = None  # (f(S), OPT) of the previous round, in units
     while True:
         nxt = driver.next_element(frozenset(state.feasible))
         if isinstance(nxt, Stop):
@@ -338,20 +362,28 @@ def run_adversary(
         if not driver.matroid.is_independent(state.feasible):
             raise InvariantViolation("algorithm bug: infeasible set after round")
         n += 1
-        opt = driver.current_opt()
-        f_s = state.f_S()
+        opt = driver.scaled_opt()
+        f_s = state.scaled_f_S()
         # most rounds change neither f(S) nor OPT, and an unchanged ratio
         # cannot undercut the minimum it was already compared with
         if last is None or last[0] != f_s or last[1] != opt:
             last = (f_s, opt)
-            ratio = None if opt <= 0 else f_s / opt
-            if ratio is not None and (min_ratio is None or ratio < min_ratio):
-                min_ratio, min_round = ratio, n
+            if opt > 0 and (least is None or f_s * least[1] < least[0] * opt):
+                least, min_round = last, n
+            if record_rounds:
+                ratio = _ratio(f_s, opt, unit)
         if record_rounds:
-            rounds.append(
-                {"round": n, "element": nxt, "f_S": f_s, "opt": opt, "ratio": ratio}
-            )
+            rounds.append({"round": n, "element": nxt, "f_S": unscaled(f_s, unit),
+                           "opt": unscaled(opt, unit), "ratio": ratio})
+    min_ratio = None if least is None else _ratio(*least, unit)
     return AdversaryOutcome(stop=stop, min_ratio=min_ratio, min_round=min_round, rounds=rounds)
+
+
+def _ratio(f_s, opt, unit):
+    """f(S) / OPT from values in units, exact; the plain quotient at unit 1."""
+    if opt <= 0:
+        return None
+    return f_s / opt if unit == 1 else Fraction(f_s, opt)
 
 
 def make_driver(family: str, alpha, *, epsilon=None, delta=None, k=None) -> AdversaryDriver:

@@ -12,6 +12,12 @@ weights, adding only their coins and slots.  The laws, each raising
   over the replaced weight, and the threshold quantity does not decrease;
 * exchange rule: w(A) <= c / (c - 1) * w(S), in arrival weights;
 * under current weights, an accept strictly increases the objective.
+
+Weights are in the objective's ``unit`` (see the objective module).  Under
+a unit other than 1, where a weight meets a float (the threshold, the
+replacement bound, a check's slack) it goes through ``as_float`` or
+``greater``, so that every float and every decision is what the unscaled
+weights give; at unit 1 the rules keep the plain expressions.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .matroid import UniformMatroid
-from .objective import Objective
+from .objective import Objective, as_float, greater, slack_floor, unscaled
 from .tracker import ARRIVAL, CURRENT, InvariantViolation, OnlineState
 
 ALPHA_RESIDUAL = 1e-10
@@ -95,25 +101,38 @@ class Decision:
         return self.w_u - self.w_evicted
 
 
-def _approx_gt(a, b, slack=CHECK_TOL):
-    return a > b - slack * (1 + abs(b))
+def _approx_gt(a, b, slack=CHECK_TOL, unit=1):
+    """a > b - slack * (1 + |b|); exact values are in ``unit``s."""
+    if unit == 1:
+        return a > b - slack * (1 + abs(b))
+    return greater(a, slack_floor(b, slack, unit), unit)
+
+
+def _times(c, w, unit):
+    """c * w for a weight w in units other than 1: a float c meets w's float value."""
+    return c * as_float(w, unit) if isinstance(c, float) else c * w
 
 
 def _commit(st: OnlineState, d: Decision, view: str) -> None:
     """Apply an accepted proposal; under current weights f must strictly rise."""
-    f_before = st.f_S()
+    if view != CURRENT:
+        st.accept(d.element, evict=d.evicted)
+        return
+    f_before = st.scaled_f_S()
     st.accept(d.element, evict=d.evicted)
-    if view == CURRENT and not _approx_gt(st.f_S(), f_before, 1e-12):
+    if not _approx_gt(st.scaled_f_S(), f_before, 1e-12, st.unit):
         raise InvariantViolation(
-            f"objective did not strictly increase: {f_before} -> {st.f_S()}"
+            f"objective did not strictly increase: {unscaled(f_before, st.unit)} -> {st.f_S()}"
         )
 
 
 # -- capacity rule for k-uniform constraints ---------------------------------
 
 
-def _threshold_quantity(st: OnlineState, alpha: AlphaConstant, view: str):
-    """alpha * W - rho * w(A), with W the members' weight total under the view.
+def _threshold(st: OnlineState, alpha: AlphaConstant, view: str):
+    """The threshold quantity alpha * W - rho * w(A), with W the members'
+    weight total under the view; the threshold, that over the capacity; and,
+    under a unit, the threshold's integer ratio (else None).
 
     Cached on the state until the next accept, the only change to W and w(A).
     """
@@ -123,9 +142,18 @@ def _threshold_quantity(st: OnlineState, alpha: AlphaConstant, view: str):
         return cached[1]
     # The result is a float either way; converting w(A) first spares reducing
     # a large exact rational.
-    value = alpha.value * st.weight_total(view) - alpha.rho * float(st.w_A_total())
-    st.threshold_cache = (key, value)
-    return value
+    unit = st.unit
+    if unit == 1:
+        value = alpha.value * st.weight_total(view) - alpha.rho * float(st.w_A_total())
+        entry = (value, value / st.matroid.k, None)
+    else:
+        value = (as_float(_times(alpha.value, st.weight_total(view), unit), unit)
+                 - alpha.rho * as_float(st.w_A_total(), unit))
+        threshold = value / st.matroid.k
+        entry = (value, threshold,
+                 threshold.as_integer_ratio() if math.isfinite(threshold) else None)
+    st.threshold_cache = (key, entry)
+    return entry
 
 
 def propose_k_uniform(st: OnlineState, u: str, alpha: AlphaConstant,
@@ -148,8 +176,9 @@ def propose_k_uniform(st: OnlineState, u: str, alpha: AlphaConstant,
         )
     capacity = matroid.k
     w_u = st.w_arrival(u)
-    threshold = _threshold_quantity(st, alpha, view) / capacity
-    if not w_u > threshold:
+    _, threshold, exact = _threshold(st, alpha, view)
+    # w(u) > threshold, exactly: w(u) is a weight in units, the threshold a float
+    if not (w_u > threshold if exact is None else w_u * exact[1] > exact[0] * st.unit):
         return Decision(u, False, w_u=w_u)
     if len(st.feasible) == capacity:
         worst = st.min_member(view=view)
@@ -164,12 +193,15 @@ def commit_k_uniform(st: OnlineState, d: Decision, alpha: AlphaConstant,
     (alpha - rho) times any evicted weight, then that the threshold did not drop."""
     if not d.accepted:
         return d
-    bound = alpha.value / (alpha.value - alpha.rho) * d.w_evicted
-    if d.evicted is not None and not _approx_gt(d.w_u, bound):
-        raise InvariantViolation(f"replacement bound failed: w(u)={d.w_u} vs {bound}")
-    before = _threshold_quantity(st, alpha, view)
+    factor = alpha.value / (alpha.value - alpha.rho)
+    bound = (factor * d.w_evicted if st.unit == 1
+             else _times(factor, d.w_evicted, st.unit))
+    if d.evicted is not None and not _approx_gt(d.w_u, bound, unit=st.unit):
+        raise InvariantViolation(f"replacement bound failed: w(u)={unscaled(d.w_u, st.unit)}"
+                                 f" vs {unscaled(bound, st.unit)}")
+    before = _threshold(st, alpha, view)[0]
     _commit(st, d, view)
-    after = _threshold_quantity(st, alpha, view)
+    after = _threshold(st, alpha, view)[0]
     if not _approx_gt(after, before):
         raise InvariantViolation(f"threshold quantity decreased: {before} -> {after}")
     return d
@@ -198,7 +230,8 @@ def propose_general_matroid(st: OnlineState, u: str, c=2, view: str = CURRENT) -
         return Decision(u, False, w_u=w_u)
     worst = st.min_member(swap, view)
     w_worst = st.member_weights(view)[worst]
-    if w_u >= c * w_worst:
+    if (w_u >= c * w_worst if st.unit == 1
+            else not greater(_times(c, w_worst, st.unit), w_u, st.unit)):
         return Decision(u, True, evicted=worst, w_u=w_u, w_evicted=w_worst)
     return Decision(u, False, w_u=w_u)
 
@@ -210,10 +243,12 @@ def commit_general_matroid(st: OnlineState, d: Decision, c=2,
     if not d.accepted:
         return d
     _commit(st, d, view)
-    history_cap = c / (c - 1) * st.w_arrival_over_S()
-    if not _approx_gt(history_cap, st.w_A_total()):
+    history_cap = (c / (c - 1) * st.w_arrival_over_S() if st.unit == 1
+                   else _times(c / (c - 1), st.w_arrival_over_S(), st.unit))
+    if not _approx_gt(history_cap, st.w_A_total(), unit=st.unit):
         raise InvariantViolation(
-            f"history bound failed: w(A)={st.w_A_total()} vs {history_cap}"
+            f"history bound failed: w(A)={unscaled(st.w_A_total(), st.unit)}"
+            f" vs {unscaled(history_cap, st.unit)}"
         )
     return d
 

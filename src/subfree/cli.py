@@ -58,6 +58,7 @@ from .objective import (
     ObjectiveError,
     WeightedCoverage,
     subset_key,
+    unscaled,
 )
 from .oracle import (
     MAX_ASSIGNMENT_ARRIVALS,
@@ -144,7 +145,8 @@ def objective_to_json(f: Objective) -> dict:
         }
     if isinstance(f, WeightedCoverage):
         # item ids become JSON keys, which are strings: write them as strings in covers too
-        weight = {str(k): _num_to_json(v) for k, v in sorted(f.universe_weight.items())}
+        weight = {str(k): _num_to_json(unscaled(v, f.unit))
+                  for k, v in sorted(f.universe_weight.items())}
         if isinstance(f, Linear):
             return {"kind": "linear", "weight": weight}
         covers = {el: sorted(map(str, items)) for el, items in sorted(f.covers.items())}

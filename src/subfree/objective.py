@@ -59,6 +59,18 @@ al., NeurIPS 2017):
 
 They agree with the enumerations up to float rounding (within 1e-12 of the
 total weight in the tests), and they have no support limit.
+
+Every oracle has a ``unit``, 1 unless a ``WeightedCoverage`` is built with
+another: its values are the true values times ``unit``, so exact weights
+sharing one denominator can be ints, whose sums and comparisons are cheap
+and stay exact.  Only the uniform hardness stream sets it.  Floats are
+always in original units, and ``unscaled``, ``as_float``, ``greater`` and
+``slack_floor`` are where a value in units meets them: ``as_float`` is the
+correctly rounded int/int division x / unit, the same float the exact
+original value gives, and ``greater`` compares a value in units with a
+float exactly, through the float's integer ratio.  With ``unit`` 1 each of
+them is the plain expression on the plain value.  Thinning refuses a scaled
+oracle.
 """
 
 from __future__ import annotations
@@ -90,10 +102,45 @@ def _as_set(s: Iterable[str]) -> FrozenSet[str]:
     return s if isinstance(s, frozenset) else frozenset(s)
 
 
+# -- values in units (see the module docstring): exact values are in units,
+# floats in original units
+
+
+def unscaled(x, unit: int = 1):
+    """A value in units as its exact original value."""
+    return x if unit == 1 or isinstance(x, float) else Fraction(x, unit)
+
+
+def as_float(x, unit: int = 1) -> float:
+    """The float nearest the original value: int / int division rounds
+    correctly, as float() of a Fraction does, and cannot overflow on the way."""
+    return float(x) if unit == 1 or isinstance(x, float) else float(x / unit)
+
+
+def greater(a, b, unit: int = 1) -> bool:
+    """a > b, decided exactly, as Python compares an exact number with a float."""
+    if unit != 1 and isinstance(a, float) != isinstance(b, float):
+        if isinstance(b, float) and math.isfinite(b):
+            n, d = b.as_integer_ratio()
+            return a * d > n * unit
+        if isinstance(a, float) and math.isfinite(a):
+            n, d = a.as_integer_ratio()
+            return n * unit > b * d
+    return a > b
+
+
+def slack_floor(b, slack: float, unit: int = 1) -> float:
+    """b - slack * (1 + |b|) in original units, rounded as for an unscaled b."""
+    if unit == 1 or isinstance(b, float):
+        return b - slack * (1 + abs(b))
+    return b / unit - slack * ((unit + abs(b)) / unit)
+
+
 class Objective:
     """Base value oracle; immutable and shareable across runs."""
 
     monotone: bool = True
+    unit: int = 1  # values are the true values times unit
 
     def elements(self) -> FrozenSet[str]:
         raise NotImplementedError
@@ -195,24 +242,31 @@ class CurrentWeights:
         return changed
 
 
-def _check_weights(what: str, weights: Mapping) -> None:
+def _check_weights(what: str, weights: Mapping, unit: int = 1) -> None:
     for key, w in weights.items():
         if not 0 <= w < math.inf:  # negative, infinite or NaN
             problem = "negative weight" if w < 0 else "a non-finite weight"
             raise ObjectiveError(f"{what} {key!r} has {problem}")
+        if unit != 1 and isinstance(w, float):
+            raise ObjectiveError(f"{what} {key!r} has a float weight; weights in units are exact")
 
 
 class WeightedCoverage(Objective):
     """f(S) = total weight of the universe items covered by S.
 
     The normal form of every coverage family: ``universe_weight`` maps an
-    item to its weight and ``covers`` maps an element to its items.
+    item to its weight and ``covers`` maps an element to its items.  Weights
+    are in ``unit``s (see the module docstring).
     """
 
     zero = 0  # value of the empty set
 
-    def __init__(self, universe_weight: Mapping, covers: Mapping[str, Iterable]):
-        _check_weights("item", universe_weight)
+    def __init__(self, universe_weight: Mapping, covers: Mapping[str, Iterable],
+                 unit: int = 1):
+        if not (isinstance(unit, int) and unit >= 1):
+            raise ObjectiveError(f"unit must be a positive int, not {unit!r}")
+        self.unit = unit
+        _check_weights("item", universe_weight, unit)
         self.universe_weight = dict(universe_weight)
         self.covers = {el: frozenset(items) for el, items in covers.items()}
         for el, items in self.covers.items():
@@ -229,7 +283,7 @@ class WeightedCoverage(Objective):
         for item in new_weights:
             if item in self.universe_weight:
                 raise ObjectiveError(f"item {item!r} already exists")
-        _check_weights("item", new_weights)
+        _check_weights("item", new_weights, self.unit)
         items = frozenset(items)
         missing = items.difference(self.universe_weight).difference(new_weights)
         if missing:
@@ -534,6 +588,8 @@ class ThinnedObjective(Objective):
     def __init__(self, base: Objective, p):
         if not 0 <= p <= 1:
             raise ObjectiveError("thinning probability must lie in [0, 1]")
+        if base.unit != 1:
+            raise ObjectiveError("thinning needs an oracle in original units")
         self.base = base
         self.p = p
         self.monotone = base.monotone

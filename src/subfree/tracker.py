@@ -19,7 +19,16 @@ eviction hands each item the evicted member owned to the next holder in
 line.  Every weight the keeper reports is checked against the no-decrease
 law, and the cached sum makes f(S) = f(empty) + sum of current weights
 available in O(1).  The arrival-weight total of S is cached too: an accept
-extends it, and an eviction drops it until the next query re-sums it.
+extends it, and an eviction subtracts the evicted member's arrival weight
+from an exact total; a float total is dropped until the next query re-sums
+it, so that it stays the left fold in acceptance order, bit for bit.
+
+Weights and totals are kept in the objective's ``unit`` (see the objective
+module): on the uniform hardness stream they are ints over one common
+denominator.  ``f_S()`` divides the unit out and returns the exact original
+value; ``scaled_f_S()`` is the sum the state keeps, in units.  Under a unit,
+the no-decrease law compares a weight with its float floor through
+``greater``, exactly.
 
 Three more caches keep the capacity rule's per-arrival work independent of
 |S|:
@@ -36,7 +45,9 @@ Three more caches keep the capacity rule's per-arrival work independent of
   acceptance.  A query over candidates that are all of S (the exchange
   candidates on a full uniform matroid) reads the heap too; one over a
   proper subset keeps the scan.
-* ``threshold_cache`` holds one rule-computed quantity with its key.  Only
+* ``threshold_cache`` holds one rule-computed entry with its key (the
+  capacity rule keeps its threshold quantity, the threshold and, under a
+  unit, the threshold's integer ratio).  Only
   an accept changes the weights and totals the rules read, and only an
   accept grows the history, so a key that holds ``len(history)`` stays
   valid until the next accept.
@@ -48,7 +59,7 @@ import heapq
 from typing import Dict, FrozenSet, List, Optional
 
 from .matroid import Matroid
-from .objective import Objective
+from .objective import Objective, greater, slack_floor, unscaled
 
 WS_MONOTONE_TOL = 1e-9
 
@@ -70,6 +81,7 @@ class OnlineState:
     def __init__(self, objective: Objective, matroid: Matroid):
         self.objective = objective
         self.matroid = matroid
+        self.unit = objective.unit
         self.history: List[str] = []
         self.acc_index: Dict[str, int] = {}
         self.arrival_w: Dict[str, object] = {}
@@ -79,11 +91,11 @@ class OnlineState:
         self._ws: Dict[str, object] = {}
         self._w_A_sum = 0
         self._w_S_sum = 0
-        self._w_arrival_S_sum = 0  # None after an eviction, until recomputed
+        self._w_arrival_S_sum = 0  # a float total is None after an eviction, until re-summed
         self._acc = objective.accumulator()
         self._keeper = objective.current_weights()
         self._heaps: Dict[str, list] = {}  # view -> lazy min-heap (see module docstring)
-        self.threshold_cache = None  # (key holding len(history), value)
+        self.threshold_cache = None  # (key holding len(history), entry)
 
     # -- weight queries -------------------------------------------------
 
@@ -129,6 +141,11 @@ class OnlineState:
         return self.w_arrival_over_S() if view == ARRIVAL else self._w_S_sum
 
     def f_S(self):
+        """f(S) in original units."""
+        return unscaled(self.f_empty + self._w_S_sum, self.unit)
+
+    def scaled_f_S(self):
+        """f(S) in the objective's units, as the state keeps it."""
         return self.f_empty + self._w_S_sum
 
     def hat_w(self, u: str):
@@ -183,12 +200,17 @@ class OnlineState:
             self.frozen_w[evict] = w_out
             self.feasible = rest
             self._w_S_sum -= w_out
-            self._w_arrival_S_sum = None
+            total = self._w_arrival_S_sum
+            self._w_arrival_S_sum = (None if total is None or isinstance(total, float)
+                                     else total - self.arrival_w[evict])
+            unit = self.unit
             for v, new in self._keeper.remove(evict).items():
                 old = self._ws[v]
-                if new < old - WS_MONOTONE_TOL * (1 + abs(old)):
+                if (new < old - WS_MONOTONE_TOL * (1 + abs(old)) if unit == 1
+                        else greater(slack_floor(old, WS_MONOTONE_TOL, unit), new, unit)):
                     raise InvariantViolation(
-                        f"current weight of {v!r} decreased: {old} -> {new}"
+                        f"current weight of {v!r} decreased: "
+                        f"{unscaled(old, self.unit)} -> {unscaled(new, self.unit)}"
                     )
                 self._ws[v] = new
                 self._w_S_sum += new - old

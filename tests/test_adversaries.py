@@ -7,6 +7,7 @@ import pytest
 
 from subfree.adversaries import (
     PHASE_CAP,
+    AdversaryDriver,
     PartitionGeneralDriver,
     PartitionMonotoneDriver,
     Stop,
@@ -17,7 +18,8 @@ from subfree.adversaries import (
     run_adversary,
 )
 from subfree.algorithms import solve_alpha, step_best_singleton, step_general_matroid, step_k_uniform
-from subfree.objective import IntervalCoverage
+from subfree.matroid import UniformMatroid
+from subfree.objective import IntervalCoverage, WeightedCoverage
 from subfree.oracle import brute_force_opt, prefix_optima
 from subfree.tracker import InvariantViolation, OnlineState
 
@@ -194,10 +196,15 @@ def test_uniform_driver_cell_weights():
         if len(state.feasible) < 10:
             state.accept(nxt)
     assert driver.next_element(frozenset(state.feasible)) == "p1.union"
-    weights = driver.objective.universe_weight
-    assert weights == {i: Fraction(2, 10) for i in range(20)}
-    assert len({id(w) for w in weights.values()}) == 1  # one shared Fraction per phase
-    assert driver.objective.value({"p1.union"}) == 10 * Fraction(2, 10)
+    f = driver.objective
+    weights = f.universe_weight
+    # ints over the common denominator k (q - p)^phases = 10 * 1^2, with eps = p/q
+    assert f.unit == 10 and all(type(w) is int for w in weights.values())
+    assert {i: Fraction(w, f.unit) for i, w in weights.items()} == {
+        i: Fraction(2, 10) for i in range(20)}
+    assert len({id(w) for w in weights.values()}) == 1  # one shared weight per phase
+    assert Fraction(f.value({"p1.union"}), f.unit) == 10 * Fraction(2, 10)
+    assert state.f_S() == 10 * Fraction(2, 10)
 
 
 def test_uniform_driver_against_capacity_rule_small():
@@ -235,7 +242,7 @@ def test_uniform_driver_opt_lower_bounds_brute_force_prefix():
         arrived.append(nxt)
         step_k_uniform(state, nxt, alpha)
         _, opt = brute_force_opt(driver.objective, driver.matroid, arrived)
-        assert driver.current_opt() <= opt
+        assert driver.current_opt() <= Fraction(opt, driver.objective.unit)
 
 
 def test_uniform_driver_degenerate_alpha_one_runs():
@@ -281,6 +288,38 @@ def test_run_adversary_flags_infeasible_algorithm():
 
     with pytest.raises(InvariantViolation):
         run_adversary(driver, cheating_step)
+
+
+class _ScriptedDriver(AdversaryDriver):
+    """Offers a, b, c, d of weights 1, 1, 2, 2 (times ``unit``) with a scripted
+    OPT: under accept-all the ratio is 1/2 at rounds 1 and 2, then 1 and 3/4."""
+
+    def __init__(self, unit):
+        self.objective = WeightedCoverage({i: w * unit for i, w in enumerate((1, 1, 2, 2))},
+                                          {el: {i} for i, el in enumerate("abcd")}, unit=unit)
+        self.matroid = UniformMatroid(4)
+
+    def _elements(self):
+        for el, opt in zip("abcd", (2, 4, 4, 8)):
+            self._opt = opt * self.objective.unit
+            visible = yield el
+        return self._stop("script-done", visible)
+
+
+@pytest.mark.parametrize("unit", [1, 7])
+def test_run_adversary_minimum_ties_keep_the_first_round(unit):
+    out = run_adversary(_ScriptedDriver(unit), lambda st, u: st.accept(u))
+    assert (out.min_ratio, out.min_round) == (Fraction(1, 2), 1)
+    assert [r["ratio"] for r in out.rounds] == [Fraction(1, 2), Fraction(1, 2), 1, Fraction(3, 4)]
+    assert [(r["f_S"], r["opt"]) for r in out.rounds] == [(1, 2), (2, 4), (4, 4), (6, 8)]
+    assert (out.stop.ratio, out.stop.opt, out.stop.algorithm_value) == (Fraction(3, 4), 8, 6)
+
+
+def test_run_adversary_refuses_a_state_in_other_units():
+    driver = _ScriptedDriver(7)
+    with pytest.raises(ValueError, match="different units"):
+        run_adversary(driver, lambda st, u: st.accept(u),
+                      state=OnlineState(_ScriptedDriver(1).objective, driver.matroid))
 
 
 def test_make_driver_dispatch():
@@ -335,7 +374,9 @@ def test_driver_opt_under_random_policies(make, exact):
         with pytest.raises(RuntimeError, match="already terminated"):
             driver.next_element(frozenset(state.feasible))
         # one enumeration sweep; agrees with brute_force_opt on every prefix
-        best = prefix_optima(driver.objective, driver.matroid, arrived)
+        unit = driver.objective.unit
+        best = [Fraction(b, unit) for b in prefix_optima(driver.objective, driver.matroid,
+                                                          arrived)]
         assert all(o == b if exact else o <= b for o, b in zip(opts, best))
         unions_taken += len(getattr(driver, "union_taken", ()))
     if isinstance(driver, UniformHardnessDriver):
@@ -363,9 +404,10 @@ def test_uniform_driver_matches_interval_coverage(k):
                 lo = int(phase[1:]) - 1 + Fraction(int(part[1:]) - 1, 2 * k)
                 intervals[nxt] = [(lo, lo + Fraction(1, 2 * k))]
             step(state, nxt)
-            values = {u: f.value({u}) for u in intervals}
+            values = {u: Fraction(f.value({u}), f.unit) for u in intervals}
             feasible = frozenset(state.feasible)
-            rounds.append((feasible, state.f_S(), f.value(feasible), values))
+            assert state.scaled_f_S() == f.value(feasible)
+            rounds.append((feasible, state.f_S(), Fraction(f.value(feasible), f.unit), values))
         reference = IntervalCoverage(epsilon, intervals)
         for s, f_s, value, values in rounds:
             assert f_s == value == reference.value(s)

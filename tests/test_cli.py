@@ -514,10 +514,20 @@ def test_driver_objective_round_trips():
     inst = Instance(order, objective=driver.objective, matroid=driver.matroid)
     back = Instance.loads(inst.dumps())
     assert back.dumps() == inst.dumps()
+    # the dump holds original units: each thin interval's item weighs its phase's cell weight
+    obj = json.loads(inst.dumps())["objective"]
+    thin = [el for el in order if not el.endswith(".union")]
+    assert len(thin) == 2 * 20 * 4
+    for el in thin:
+        (item,) = obj["covers"][el]
+        phase = int(el.split(".")[0][1:])
+        assert Fraction(obj["universe_weight"][item]) == driver.cell_weight(phase)
+    assert back.objective.unit == 1
     rng = random.Random(3)
     for _ in range(50):
         s = frozenset(rng.sample(order, rng.randint(0, len(order))))
-        assert back.objective.value(s) == driver.objective.value(s)
+        assert back.objective.value(s) == Fraction(driver.objective.value(s),
+                                                   driver.objective.unit)
 
 
 @pytest.mark.parametrize("alg", [
@@ -626,6 +636,21 @@ def test_adversary_uniform_family_small():
     assert code == EXIT_OK
     final = json.loads(text.splitlines()[-1])
     assert final["min_ratio"] is not None
+
+
+def test_adversary_uniform_with_weights_in_units_beyond_float_range():
+    # 54 phases at eps = 0.499999: the weights in units pass the largest float,
+    # their original values do not
+    code, text = run_main(
+        ["adversary", "--family", "uniform", "--alpha", "3", "--eps", "0.499999",
+         "--delta", "0.9", "--k", "60", "--alg", "k-uniform", "--quiet"]
+    )
+    assert code == EXIT_OK
+    assert text.splitlines()[-1] == (
+        '{"alg": "k-uniform", "alpha": 3.0, "family": "uniform", '
+        '"min_ratio": 0.3218390804597701, "min_round": 121, "record": "final", '
+        '"stop_ratio": 0.776315560940493, "stop_reason": "phases-exhausted"}'
+    )
 
 
 def test_adversary_uniform_beyond_float_range_exits_2_promptly():

@@ -26,7 +26,7 @@ from subfree.adversaries import UniformHardnessDriver, run_adversary
 from subfree.algorithms import (
     NonmonotoneGeneralRun,
     NonmonotoneUniformRun,
-    _threshold_quantity,
+    _threshold,
     solve_alpha,
     step_general_matroid,
     step_k_uniform,
@@ -43,17 +43,19 @@ from subfree.objective import (
     sampled_value_p,
     soft_marginal_rate,
     soft_value,
+    unscaled,
 )
 from subfree.oracle import random_escalating_instance, random_instance, random_matroid
 from subfree.tracker import ARRIVAL, CURRENT, OnlineState
 
 
 class OpaqueObjective(Objective):
-    """Same values, no fast-path hooks."""
+    """Same values in the same unit, no fast-path hooks."""
 
     def __init__(self, base):
         self.base = base
         self.monotone = base.monotone
+        self.unit = base.unit
 
     def elements(self):
         return self.base.elements()
@@ -247,9 +249,11 @@ def test_ledger_with_float_weights():
 
 class HeapAudit:
     """After every step: ``min_member()`` under both views against the full
-    (weight, acc_index) scan, and the rule's cached threshold against a fresh
-    recomputation.  Counts the steps that had a tie at the minimum and the
-    evictions that raised a later member's current weight."""
+    (weight, acc_index) scan, the rule's cached threshold against a fresh
+    recomputation in original units, and the cached arrival total of S
+    against a re-sum (an exact total is never dropped).  Counts the steps that
+    had a tie at the minimum and the evictions that raised a later member's
+    current weight."""
 
     def __init__(self, alpha, view):
         self.alpha, self.view = alpha, view  # alpha None: a rule without a threshold
@@ -271,8 +275,13 @@ class HeapAudit:
         self._before = now
         a = self.alpha
         if a is not None:
-            fresh = a.value * st.weight_total(self.view) - a.rho * float(st.w_A_total())
-            assert _threshold_quantity(st, a, self.view) == fresh
+            fresh = (a.value * unscaled(st.weight_total(self.view), st.unit)
+                     - a.rho * float(unscaled(st.w_A_total(), st.unit)))
+            assert _threshold(st, a, self.view)[0] == fresh
+        resum = sum(st.arrival_w[v] for v in sorted(st.feasible, key=st.acc_index.__getitem__))
+        if not isinstance(resum, float):
+            assert st._w_arrival_S_sum is not None
+        assert st.w_arrival_over_S() == resum
 
 
 def tied_coverage(rng, n, kind):
@@ -357,6 +366,84 @@ def test_min_member_heaps_match_the_scan_on_the_uniform_stream():
 
     run_adversary(UniformHardnessDriver(Fraction(3), Fraction(1, 2), Fraction(9, 10), k), step)
     assert audit.ties > 0 and evictions > 0
+
+
+@pytest.mark.parametrize("eps, delta, k, evicts", [
+    (Fraction(1, 2), Fraction(9, 10), 12, True),
+    (Fraction(1, 3), Fraction(1, 2), 16, True),
+    (Fraction(1, 20), Fraction(1, 5), 40, False),  # the benchmark's stream at a small k
+    (Fraction(499999, 1000000), Fraction(9, 10), 60, True),  # weights in units pass float range
+])
+@pytest.mark.parametrize("rule", ["capacity", "exchange"])
+def test_uniform_stream_in_units_matches_fraction_weights(eps, delta, k, evicts, rule):
+    """The uniform stream's int weights in units against the same stream on a
+    coverage in original units with Fraction weights: on every round the same
+    decisions, arrival and evicted weights, f(S) and threshold floats, and the
+    run's minimum ratio and its round from the exact ratios."""
+    alpha = solve_alpha(k)
+    step = {"capacity": lambda st, u: step_k_uniform(st, u, alpha),
+            "exchange": lambda st, u: step_general_matroid(st, u)}[rule]
+    driver = UniformHardnessDriver(Fraction(3), eps, delta, k)
+    f = driver.objective
+    assert f.unit > 1
+    plain = WeightedCoverage({}, {})
+    ref = OnlineState(plain, driver.matroid)
+    ratios, evictions = [], 0
+
+    def both(st, u):
+        nonlocal evictions
+        plain.register(u, f.covers[u], {i: Fraction(f.universe_weight[i], f.unit)
+                                        for i in f.covers[u] - plain.universe_weight.keys()})
+        d, r = step(st, u), step(ref, u)
+        assert (d.accepted, d.evicted) == (r.accepted, r.evicted)
+        assert (Fraction(d.w_u, f.unit), Fraction(d.w_evicted, f.unit)) == (r.w_u, r.w_evicted)
+        assert st.f_S() == ref.f_S() == Fraction(st.scaled_f_S(), f.unit)
+        if rule == "capacity":
+            assert _threshold(st, alpha, CURRENT)[:2] == _threshold(ref, alpha, CURRENT)[:2]
+        ratios.append(ref.f_S() / driver.current_opt())
+        evictions += d.evicted is not None
+
+    out = run_adversary(driver, both, record_rounds=False)
+    assert (evictions > 0) == evicts
+    assert out.min_ratio == min(ratios)
+    assert out.min_round == ratios.index(min(ratios)) + 1
+
+
+@pytest.mark.parametrize("rule", ["capacity", "exchange-2", "exchange-3/2", "exchange-1.5"])
+def test_rules_on_coverage_in_units_match_fraction_weights(rule):
+    """Overlapping coverage with int weights in units (ties, zeros, hand-offs on
+    eviction) against the same coverage in original units with Fraction
+    weights: same decisions, and the same weights, totals, f(S) and threshold
+    floats after every step."""
+    evictions = 0
+    for trial in range(12):
+        rng = random.Random(1100 + trial)
+        unit = rng.choice([7, 3**40, 10**25 + 1])
+        k = 4 + trial % 3
+        alpha = solve_alpha(k)
+        base, order = tied_coverage(rng, 20, "int")
+        weights = {i: rng.choice([0, w, w * unit]) for i, w in base.universe_weight.items()}
+        scaled = WeightedCoverage(weights, base.covers, unit=unit)
+        plain = WeightedCoverage({i: Fraction(w, unit) for i, w in weights.items()}, base.covers)
+        if rule == "capacity":
+            step = lambda st, u: step_k_uniform(st, u, alpha)
+        else:
+            c = {"2": 2, "3/2": Fraction(3, 2), "1.5": 1.5}[rule.split("-")[1]]
+            step = lambda st, u: step_general_matroid(st, u, c)
+        st, ref = OnlineState(scaled, UniformMatroid(k)), OnlineState(plain, UniformMatroid(k))
+        for u in order:
+            d, r = step(st, u), step(ref, u)
+            assert (d.accepted, d.evicted) == (r.accepted, r.evicted)
+            assert Fraction(d.w_u, unit) == r.w_u
+            assert st.f_S() == ref.f_S()
+            assert {v: Fraction(st.w_S(v), unit) for v in st.feasible} == {
+                v: ref.w_S(v) for v in ref.feasible}
+            assert Fraction(st.w_arrival_over_S(), unit) == ref.w_arrival_over_S()
+            assert Fraction(st.w_A_total(), unit) == ref.w_A_total()
+            if rule == "capacity":
+                assert _threshold(st, alpha, CURRENT)[:2] == _threshold(ref, alpha, CURRENT)[:2]
+            evictions += d.evicted is not None
+    assert evictions > 0
 
 
 # -- closed-form extensions on weighted coverage ---------------------------------------

@@ -19,6 +19,10 @@ from subfree.objective import (
     soft_marginal_rate,
     soft_value,
     subset_key,
+    as_float,
+    greater,
+    slack_floor,
+    unscaled,
 )
 from conftest import coverage_as_table, random_coverage
 
@@ -510,3 +514,39 @@ def test_union_thinning_lower_bound(pi, qi):
             + p * q * table.value(a | b)
         )
         assert exact >= bound - 1e-9
+
+
+# -- values in units -----------------------------------------------------------------
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 10**40), st.sampled_from([1, 7, 3 * 10**30, 2**200]),
+       st.one_of(st.floats(allow_nan=True), st.fractions(0, 10**9).map(float)),
+       st.sampled_from([1e-9, 1e-12]), st.booleans())
+def test_unit_helpers_match_the_exact_original_values(a, unit, x, slack, as_fraction):
+    """Each helper on a value in units against Python's own exact arithmetic on
+    the original value: comparisons exact, floats correctly rounded."""
+    if as_fraction:
+        a = Fraction(a, 3)
+    orig = Fraction(a, unit)
+    assert unscaled(a, unit) == orig and unscaled(x, unit) is x
+    assert as_float(a, unit) == float(orig) and as_float(x, unit) is x
+    assert greater(a, x, unit) == (orig > x)
+    assert greater(x, a, unit) == (x > orig)
+    assert greater(a, a + 1, unit) is False and greater(a + 1, a, unit) is True
+    assert slack_floor(a, slack, unit) == orig - slack * (1 + abs(orig))
+    if math.isfinite(x):
+        assert slack_floor(x, slack, unit) == x - slack * (1 + abs(x))
+
+
+def test_coverage_in_units_takes_exact_weights_only():
+    f = WeightedCoverage({"x": 3}, {"a": {"x"}}, unit=7)
+    assert f.unit == 7 and f.value({"a"}) == 3
+    with pytest.raises(ObjectiveError, match="float weight"):
+        f.register("b", {"y"}, {"y": 0.5})
+    with pytest.raises(ObjectiveError, match="float weight"):
+        WeightedCoverage({"x": 0.5}, {"a": {"x"}}, unit=7)
+    with pytest.raises(ObjectiveError, match="positive int"):
+        WeightedCoverage({}, {}, unit=0)
+    with pytest.raises(ObjectiveError, match="original units"):
+        f.thinned(0.5)
