@@ -340,14 +340,11 @@ def run_adversary(
     """Drive an online step rule against an adaptive stream.
 
     The algorithm's state must stay independent; a violation is reported as
-    an algorithm bug.  A given ``state`` must share the driver objective's
-    ``unit``.  Returns the full per-round log, the minimum ratio over rounds,
-    and the driver's termination report.
+    an algorithm bug.  Returns the full per-round log, the minimum ratio
+    over rounds, and the driver's termination report.
     """
     state = state or OnlineState(driver.objective, driver.matroid)
     unit = driver.objective.unit
-    if state.unit != unit:
-        raise ValueError("the state's objective and the driver's have different units")
     rounds: List[dict] = []
     least = None  # (f(S), OPT) of the minimum ratio, in units
     min_round = -1
@@ -380,10 +377,8 @@ def run_adversary(
 
 
 def _ratio(f_s, opt, unit):
-    """f(S) / OPT from values in units, exact; the plain quotient at unit 1."""
-    if opt <= 0:
-        return None
-    return f_s / opt if unit == 1 else Fraction(f_s, opt)
+    """f(S) / OPT from values in units, as the quotient of the original values."""
+    return None if opt <= 0 else unscaled(f_s, unit) / unscaled(opt, unit)
 
 
 def make_driver(family: str, alpha, *, epsilon=None, delta=None, k=None) -> AdversaryDriver:

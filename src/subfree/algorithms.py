@@ -13,11 +13,11 @@ weights, adding only their coins and slots.  The laws, each raising
 * exchange rule: w(A) <= c / (c - 1) * w(S), in arrival weights;
 * under current weights, an accept strictly increases the objective.
 
-Weights are in the objective's ``unit`` (see the objective module).  Under
-a unit other than 1, where a weight meets a float (the threshold, the
-replacement bound, a check's slack) it goes through ``as_float`` or
-``greater``, so that every float and every decision is what the unscaled
-weights give; at unit 1 the rules keep the plain expressions.
+Weights are in the objective's ``unit`` (see the objective module).  Where
+a weight meets a float (the threshold, the replacement bound, a check's
+slack) the rules go through the state's ``as_float``, ``exceeds`` and
+``approx_gt``, so that every float and every decision is what the weights
+in original units give.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .matroid import UniformMatroid
-from .objective import Objective, as_float, greater, slack_floor, unscaled
+from .objective import Objective
 from .tracker import ARRIVAL, CURRENT, InvariantViolation, OnlineState
 
 ALPHA_RESIDUAL = 1e-10
@@ -101,16 +101,9 @@ class Decision:
         return self.w_u - self.w_evicted
 
 
-def _approx_gt(a, b, slack=CHECK_TOL, unit=1):
-    """a > b - slack * (1 + |b|); exact values are in ``unit``s."""
-    if unit == 1:
-        return a > b - slack * (1 + abs(b))
-    return greater(a, slack_floor(b, slack, unit), unit)
-
-
-def _times(c, w, unit):
-    """c * w for a weight w in units other than 1: a float c meets w's float value."""
-    return c * as_float(w, unit) if isinstance(c, float) else c * w
+def _times(st: OnlineState, c, w):
+    """c * w for a weight w in units: a float c meets w's float value."""
+    return c * st.as_float(w) if isinstance(c, float) else c * w
 
 
 def _commit(st: OnlineState, d: Decision, view: str) -> None:
@@ -120,19 +113,17 @@ def _commit(st: OnlineState, d: Decision, view: str) -> None:
         return
     f_before = st.scaled_f_S()
     st.accept(d.element, evict=d.evicted)
-    if not _approx_gt(st.scaled_f_S(), f_before, 1e-12, st.unit):
+    if not st.approx_gt(st.scaled_f_S(), f_before, 1e-12):
         raise InvariantViolation(
-            f"objective did not strictly increase: {unscaled(f_before, st.unit)} -> {st.f_S()}"
+            f"objective did not strictly increase: {st.unscaled(f_before)} -> {st.f_S()}"
         )
 
 
 # -- capacity rule for k-uniform constraints ---------------------------------
 
 
-def _threshold(st: OnlineState, alpha: AlphaConstant, view: str):
-    """The threshold quantity alpha * W - rho * w(A), with W the members'
-    weight total under the view; the threshold, that over the capacity; and,
-    under a unit, the threshold's integer ratio (else None).
+def _threshold_quantity(st: OnlineState, alpha: AlphaConstant, view: str):
+    """alpha * W - rho * w(A), with W the members' weight total under the view.
 
     Cached on the state until the next accept, the only change to W and w(A).
     """
@@ -142,18 +133,10 @@ def _threshold(st: OnlineState, alpha: AlphaConstant, view: str):
         return cached[1]
     # The result is a float either way; converting w(A) first spares reducing
     # a large exact rational.
-    unit = st.unit
-    if unit == 1:
-        value = alpha.value * st.weight_total(view) - alpha.rho * float(st.w_A_total())
-        entry = (value, value / st.matroid.k, None)
-    else:
-        value = (as_float(_times(alpha.value, st.weight_total(view), unit), unit)
-                 - alpha.rho * as_float(st.w_A_total(), unit))
-        threshold = value / st.matroid.k
-        entry = (value, threshold,
-                 threshold.as_integer_ratio() if math.isfinite(threshold) else None)
-    st.threshold_cache = (key, entry)
-    return entry
+    value = (alpha.value * st.as_float(st.weight_total(view))
+             - alpha.rho * st.as_float(st.w_A_total()))
+    st.threshold_cache = (key, value)
+    return value
 
 
 def propose_k_uniform(st: OnlineState, u: str, alpha: AlphaConstant,
@@ -176,9 +159,8 @@ def propose_k_uniform(st: OnlineState, u: str, alpha: AlphaConstant,
         )
     capacity = matroid.k
     w_u = st.w_arrival(u)
-    _, threshold, exact = _threshold(st, alpha, view)
-    # w(u) > threshold, exactly: w(u) is a weight in units, the threshold a float
-    if not (w_u > threshold if exact is None else w_u * exact[1] > exact[0] * st.unit):
+    threshold = _threshold_quantity(st, alpha, view) / capacity
+    if not st.exceeds(w_u, threshold):
         return Decision(u, False, w_u=w_u)
     if len(st.feasible) == capacity:
         worst = st.min_member(view=view)
@@ -194,15 +176,14 @@ def commit_k_uniform(st: OnlineState, d: Decision, alpha: AlphaConstant,
     if not d.accepted:
         return d
     factor = alpha.value / (alpha.value - alpha.rho)
-    bound = (factor * d.w_evicted if st.unit == 1
-             else _times(factor, d.w_evicted, st.unit))
-    if d.evicted is not None and not _approx_gt(d.w_u, bound, unit=st.unit):
-        raise InvariantViolation(f"replacement bound failed: w(u)={unscaled(d.w_u, st.unit)}"
-                                 f" vs {unscaled(bound, st.unit)}")
-    before = _threshold(st, alpha, view)[0]
+    bound = _times(st, factor, d.w_evicted)
+    if d.evicted is not None and not st.approx_gt(d.w_u, bound, CHECK_TOL):
+        raise InvariantViolation(f"replacement bound failed: w(u)={st.unscaled(d.w_u)}"
+                                 f" vs {st.unscaled(bound)}")
+    before = _threshold_quantity(st, alpha, view)
     _commit(st, d, view)
-    after = _threshold(st, alpha, view)[0]
-    if not _approx_gt(after, before):
+    after = _threshold_quantity(st, alpha, view)
+    if not st.approx_gt(after, before, CHECK_TOL):
         raise InvariantViolation(f"threshold quantity decreased: {before} -> {after}")
     return d
 
@@ -230,8 +211,7 @@ def propose_general_matroid(st: OnlineState, u: str, c=2, view: str = CURRENT) -
         return Decision(u, False, w_u=w_u)
     worst = st.min_member(swap, view)
     w_worst = st.member_weights(view)[worst]
-    if (w_u >= c * w_worst if st.unit == 1
-            else not greater(_times(c, w_worst, st.unit), w_u, st.unit)):
+    if not st.exceeds(_times(st, c, w_worst), w_u):
         return Decision(u, True, evicted=worst, w_u=w_u, w_evicted=w_worst)
     return Decision(u, False, w_u=w_u)
 
@@ -243,12 +223,11 @@ def commit_general_matroid(st: OnlineState, d: Decision, c=2,
     if not d.accepted:
         return d
     _commit(st, d, view)
-    history_cap = (c / (c - 1) * st.w_arrival_over_S() if st.unit == 1
-                   else _times(c / (c - 1), st.w_arrival_over_S(), st.unit))
-    if not _approx_gt(history_cap, st.w_A_total(), unit=st.unit):
+    history_cap = _times(st, c / (c - 1), st.w_arrival_over_S())
+    if not st.approx_gt(history_cap, st.w_A_total(), CHECK_TOL):
         raise InvariantViolation(
-            f"history bound failed: w(A)={unscaled(st.w_A_total(), st.unit)}"
-            f" vs {unscaled(history_cap, st.unit)}"
+            f"history bound failed: w(A)={st.unscaled(st.w_A_total())}"
+            f" vs {st.unscaled(history_cap)}"
         )
     return d
 

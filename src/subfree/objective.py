@@ -69,8 +69,9 @@ always in original units, and ``unscaled``, ``as_float``, ``greater`` and
 correctly rounded int/int division x / unit, the same float the exact
 original value gives, and ``greater`` compares a value in units with a
 float exactly, through the float's integer ratio.  With ``unit`` 1 each of
-them is the plain expression on the plain value.  Thinning refuses a scaled
-oracle.
+them is the plain expression on the plain value.  The online state applies
+them with its objective's unit (see the tracker module), so the step rules
+never read it.
 """
 
 from __future__ import annotations
@@ -242,13 +243,11 @@ class CurrentWeights:
         return changed
 
 
-def _check_weights(what: str, weights: Mapping, unit: int = 1) -> None:
+def _check_weights(what: str, weights: Mapping) -> None:
     for key, w in weights.items():
         if not 0 <= w < math.inf:  # negative, infinite or NaN
             problem = "negative weight" if w < 0 else "a non-finite weight"
             raise ObjectiveError(f"{what} {key!r} has {problem}")
-        if unit != 1 and isinstance(w, float):
-            raise ObjectiveError(f"{what} {key!r} has a float weight; weights in units are exact")
 
 
 class WeightedCoverage(Objective):
@@ -263,10 +262,8 @@ class WeightedCoverage(Objective):
 
     def __init__(self, universe_weight: Mapping, covers: Mapping[str, Iterable],
                  unit: int = 1):
-        if not (isinstance(unit, int) and unit >= 1):
-            raise ObjectiveError(f"unit must be a positive int, not {unit!r}")
         self.unit = unit
-        _check_weights("item", universe_weight, unit)
+        _check_weights("item", universe_weight)
         self.universe_weight = dict(universe_weight)
         self.covers = {el: frozenset(items) for el, items in covers.items()}
         for el, items in self.covers.items():
@@ -283,7 +280,7 @@ class WeightedCoverage(Objective):
         for item in new_weights:
             if item in self.universe_weight:
                 raise ObjectiveError(f"item {item!r} already exists")
-        _check_weights("item", new_weights, self.unit)
+        _check_weights("item", new_weights)
         items = frozenset(items)
         missing = items.difference(self.universe_weight).difference(new_weights)
         if missing:
@@ -588,8 +585,6 @@ class ThinnedObjective(Objective):
     def __init__(self, base: Objective, p):
         if not 0 <= p <= 1:
             raise ObjectiveError("thinning probability must lie in [0, 1]")
-        if base.unit != 1:
-            raise ObjectiveError("thinning needs an oracle in original units")
         self.base = base
         self.p = p
         self.monotone = base.monotone

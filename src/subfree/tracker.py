@@ -26,9 +26,11 @@ it, so that it stays the left fold in acceptance order, bit for bit.
 Weights and totals are kept in the objective's ``unit`` (see the objective
 module): on the uniform hardness stream they are ints over one common
 denominator.  ``f_S()`` divides the unit out and returns the exact original
-value; ``scaled_f_S()`` is the sum the state keeps, in units.  Under a unit,
-the no-decrease law compares a weight with its float floor through
-``greater``, exactly.
+value; ``scaled_f_S()`` is the sum the state keeps, in units.  The state
+owns the boundary where a weight in units meets a float in original units:
+``as_float``, ``exceeds``, ``approx_gt`` and ``unscaled`` apply the objective
+module's helpers with its unit, so the rules never read the unit.  The
+no-decrease law compares each weight with its float floor the same way.
 
 Three more caches keep the capacity rule's per-arrival work independent of
 |S|:
@@ -45,9 +47,7 @@ Three more caches keep the capacity rule's per-arrival work independent of
   acceptance.  A query over candidates that are all of S (the exchange
   candidates on a full uniform matroid) reads the heap too; one over a
   proper subset keeps the scan.
-* ``threshold_cache`` holds one rule-computed entry with its key (the
-  capacity rule keeps its threshold quantity, the threshold and, under a
-  unit, the threshold's integer ratio).  Only
+* ``threshold_cache`` holds one rule-computed quantity with its key.  Only
   an accept changes the weights and totals the rules read, and only an
   accept grows the history, so a key that holds ``len(history)`` stays
   valid until the next accept.
@@ -59,7 +59,7 @@ import heapq
 from typing import Dict, FrozenSet, List, Optional
 
 from .matroid import Matroid
-from .objective import Objective, greater, slack_floor, unscaled
+from .objective import Objective, as_float, greater, slack_floor, unscaled
 
 WS_MONOTONE_TOL = 1e-9
 
@@ -95,7 +95,7 @@ class OnlineState:
         self._acc = objective.accumulator()
         self._keeper = objective.current_weights()
         self._heaps: Dict[str, list] = {}  # view -> lazy min-heap (see module docstring)
-        self.threshold_cache = None  # (key holding len(history), entry)
+        self.threshold_cache = None  # (key holding len(history), value)
 
     # -- weight queries -------------------------------------------------
 
@@ -142,7 +142,7 @@ class OnlineState:
 
     def f_S(self):
         """f(S) in original units."""
-        return unscaled(self.f_empty + self._w_S_sum, self.unit)
+        return self.unscaled(self.f_empty + self._w_S_sum)
 
     def scaled_f_S(self):
         """f(S) in the objective's units, as the state keeps it."""
@@ -184,6 +184,24 @@ class OnlineState:
         if heap is not None:
             heapq.heappush(heap, (w, self.acc_index[v], v))
 
+    # -- where a value in units meets a float in original units -------
+
+    def unscaled(self, x):
+        """A value in units as its exact original value."""
+        return unscaled(x, self.unit)
+
+    def as_float(self, x) -> float:
+        """The float nearest a value's original value."""
+        return as_float(x, self.unit)
+
+    def exceeds(self, a, b) -> bool:
+        """a > b, decided exactly, each a value in units or a float."""
+        return greater(a, b, self.unit)
+
+    def approx_gt(self, a, b, slack: float) -> bool:
+        """a > b - slack * (1 + |b|), the slack taken in original units."""
+        return greater(a, slack_floor(b, slack, self.unit), self.unit)
+
     # -- the single mutation --------------------------------------------
 
     def accept(self, u: str, evict: Optional[str] = None) -> None:
@@ -206,11 +224,10 @@ class OnlineState:
             unit = self.unit
             for v, new in self._keeper.remove(evict).items():
                 old = self._ws[v]
-                if (new < old - WS_MONOTONE_TOL * (1 + abs(old)) if unit == 1
-                        else greater(slack_floor(old, WS_MONOTONE_TOL, unit), new, unit)):
+                if greater(slack_floor(old, WS_MONOTONE_TOL, unit), new, unit):
                     raise InvariantViolation(
                         f"current weight of {v!r} decreased: "
-                        f"{unscaled(old, self.unit)} -> {unscaled(new, self.unit)}"
+                        f"{self.unscaled(old)} -> {self.unscaled(new)}"
                     )
                 self._ws[v] = new
                 self._w_S_sum += new - old

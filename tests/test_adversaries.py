@@ -315,13 +315,6 @@ def test_run_adversary_minimum_ties_keep_the_first_round(unit):
     assert (out.stop.ratio, out.stop.opt, out.stop.algorithm_value) == (Fraction(3, 4), 8, 6)
 
 
-def test_run_adversary_refuses_a_state_in_other_units():
-    driver = _ScriptedDriver(7)
-    with pytest.raises(ValueError, match="different units"):
-        run_adversary(driver, lambda st, u: st.accept(u),
-                      state=OnlineState(_ScriptedDriver(1).objective, driver.matroid))
-
-
 def test_make_driver_dispatch():
     assert isinstance(make_driver("partition-monotone", 3), PartitionMonotoneDriver)
     assert isinstance(make_driver("partition-general", 2), PartitionGeneralDriver)

@@ -26,7 +26,7 @@ from subfree.adversaries import UniformHardnessDriver, run_adversary
 from subfree.algorithms import (
     NonmonotoneGeneralRun,
     NonmonotoneUniformRun,
-    _threshold,
+    _threshold_quantity,
     solve_alpha,
     step_general_matroid,
     step_k_uniform,
@@ -277,7 +277,7 @@ class HeapAudit:
         if a is not None:
             fresh = (a.value * unscaled(st.weight_total(self.view), st.unit)
                      - a.rho * float(unscaled(st.w_A_total(), st.unit)))
-            assert _threshold(st, a, self.view)[0] == fresh
+            assert _threshold_quantity(st, a, self.view) == fresh
         resum = sum(st.arrival_w[v] for v in sorted(st.feasible, key=st.acc_index.__getitem__))
         if not isinstance(resum, float):
             assert st._w_arrival_S_sum is not None
@@ -399,7 +399,8 @@ def test_uniform_stream_in_units_matches_fraction_weights(eps, delta, k, evicts,
         assert (Fraction(d.w_u, f.unit), Fraction(d.w_evicted, f.unit)) == (r.w_u, r.w_evicted)
         assert st.f_S() == ref.f_S() == Fraction(st.scaled_f_S(), f.unit)
         if rule == "capacity":
-            assert _threshold(st, alpha, CURRENT)[:2] == _threshold(ref, alpha, CURRENT)[:2]
+            assert (_threshold_quantity(st, alpha, CURRENT)
+                    == _threshold_quantity(ref, alpha, CURRENT))
         ratios.append(ref.f_S() / driver.current_opt())
         evictions += d.evicted is not None
 
@@ -441,7 +442,8 @@ def test_rules_on_coverage_in_units_match_fraction_weights(rule):
             assert Fraction(st.w_arrival_over_S(), unit) == ref.w_arrival_over_S()
             assert Fraction(st.w_A_total(), unit) == ref.w_A_total()
             if rule == "capacity":
-                assert _threshold(st, alpha, CURRENT)[:2] == _threshold(ref, alpha, CURRENT)[:2]
+                assert (_threshold_quantity(st, alpha, CURRENT)
+                        == _threshold_quantity(ref, alpha, CURRENT))
             evictions += d.evicted is not None
     assert evictions > 0
 

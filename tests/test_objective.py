@@ -537,16 +537,3 @@ def test_unit_helpers_match_the_exact_original_values(a, unit, x, slack, as_frac
     assert slack_floor(a, slack, unit) == orig - slack * (1 + abs(orig))
     if math.isfinite(x):
         assert slack_floor(x, slack, unit) == x - slack * (1 + abs(x))
-
-
-def test_coverage_in_units_takes_exact_weights_only():
-    f = WeightedCoverage({"x": 3}, {"a": {"x"}}, unit=7)
-    assert f.unit == 7 and f.value({"a"}) == 3
-    with pytest.raises(ObjectiveError, match="float weight"):
-        f.register("b", {"y"}, {"y": 0.5})
-    with pytest.raises(ObjectiveError, match="float weight"):
-        WeightedCoverage({"x": 0.5}, {"a": {"x"}}, unit=7)
-    with pytest.raises(ObjectiveError, match="positive int"):
-        WeightedCoverage({}, {}, unit=0)
-    with pytest.raises(ObjectiveError, match="original units"):
-        f.thinned(0.5)
