@@ -358,11 +358,34 @@ def _reference_optima(instance: Instance, check: bool) -> List[object]:
     return [None] * len(order)
 
 
+def _block_values(f: Objective, sample: Callable[[int], frozenset], seeds: range) -> list:
+    """f of one sample per seed, evaluating f once per distinct sampled set."""
+    memo: dict = {}
+    values = []
+    for s in seeds:
+        chosen = sample(s)
+        if chosen not in memo:
+            memo[chosen] = f.value(chosen)
+        values.append(memo[chosen])
+    return values
+
+
+def _trial_values(f: Objective, sample: Callable[[int], frozenset], seeds: range) -> list:
+    """f of one sample per trial seed, in seed order.  Each worker takes one
+    contiguous block of seeds with a memo of its own; the pool is the trials
+    phase's boundary, since the interpreter lock serialises the blocks."""
+    workers = min(8, max(1, len(seeds)))
+    size = -(-len(seeds) // workers) or 1
+    blocks = [seeds[i:i + size] for i in range(0, len(seeds), size)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return [v for block in pool.map(lambda b: _block_values(f, sample, b), blocks)
+                for v in block]
+
+
 def _trial_mean(f: Objective, sample: Callable[[int], frozenset], seeds: range):
     """Mean of f over one sample per trial seed, in seed order; None without
     trials."""
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(seeds)))) as pool:
-        values = list(pool.map(lambda s: f.value(sample(s)), seeds))
+    values = _trial_values(f, sample, seeds)
     return statistics.fmean(values) if values else None
 
 
@@ -686,7 +709,7 @@ def _verify_rounding(rng: random.Random, cases: int, out) -> int:
             st.step(u)
         target = st.soft_value_live()
         n = 2000
-        vals = [f.value(st.round_with_seed(s)) for s in range(n)]
+        vals = _trial_values(f, st.round_with_seed, range(n))
         mean = statistics.fmean(vals)
         sigma = statistics.pstdev(vals) / math.sqrt(n) if n else 0.0
         ok = mean >= target - 3 * sigma - 1e-9

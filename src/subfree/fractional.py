@@ -17,11 +17,12 @@ feasible by construction.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .matroid import PartitionMatroid
 from .objective import Objective
@@ -74,8 +75,11 @@ class FractionalState:
         self._hist_mass: Dict[str, float] = {}
         self._live_mass: Dict[str, float] = {}
         self.live: Dict[str, Dict[int, Unit]] = {l: {} for l in self.parts}
+        # min-heaps of each part's live (weight, seq, slot) and free slots; a
+        # unit leaves ``live`` only as the minimum, so neither heap goes stale
+        self._weakest_heap: Dict[str, List[Tuple[float, int, int]]] = {l: [] for l in self.parts}
         self._free: Dict[str, List[int]] = {
-            l: list(range(n - 1, -1, -1)) for l, n in self.slots_per_part.items()
+            l: list(range(n)) for l, n in self.slots_per_part.items()
         }
         self.w_live: Dict[str, float] = {l: 0.0 for l in self.parts}
         self.w_hist: Dict[str, float] = {l: 0.0 for l in self.parts}
@@ -137,13 +141,13 @@ class FractionalState:
         return trace
 
     def _weakest(self, part: str) -> Unit:
-        return min(self.live[part].values(), key=lambda z: (z.weight, z.seq))
+        return self.live[part][self._weakest_heap[part][0][2]]
 
     def _append_unit(self, u: str, part: str, rate: float, trace: List[dict]) -> None:
         self._seq += 1
-        slot = self._free[part].pop()
-        unit = Unit(u, self._seq, rate, slot)
-        self.live[part][slot] = unit
+        slot = heapq.heappop(self._free[part])
+        self.live[part][slot] = Unit(u, self._seq, rate, slot)
+        heapq.heappush(self._weakest_heap[part], (rate, self._seq, slot))
         self._count(self.hist_units, self._hist_mass, u, 1)
         self._count(self._live_units, self._live_mass, u, 1)
         d = float(self.delta)
@@ -153,11 +157,9 @@ class FractionalState:
         trace.append({"event": "unit", "element": u, "slot": slot, "weight": rate})
 
     def _evict_weakest(self, part: str, trace: List[dict]) -> None:
-        unit = self._weakest(part)
-        del self.live[part][unit.slot]
+        unit = self.live[part].pop(heapq.heappop(self._weakest_heap[part])[2])
         self._count(self._live_units, self._live_mass, unit.element, -1)
-        self._free[part].append(unit.slot)
-        self._free[part].sort(reverse=True)  # pop() keeps yielding the lowest slot
+        heapq.heappush(self._free[part], unit.slot)
         self.w_live[part] -= float(self.delta) * unit.weight
         trace.append(
             {"event": "drain", "element": unit.element, "slot": unit.slot,
@@ -167,18 +169,22 @@ class FractionalState:
     # -- rounding -------------------------------------------------------------
 
     def slot_of_point(self, t: float, part: str) -> int:
-        # slots are ((s)delta, (s+1)delta]; points live in (0, cap]
+        # slots are ((s)delta, (s+1)delta]; points live in (0, cap];
+        # round_online inlines this per point
         idx = int(math.ceil(t / float(self.delta))) - 1
         return min(max(idx, 0), self.slots_per_part[part] - 1)
 
     def round_online(self, points: Optional[Dict[str, List[float]]] = None) -> frozenset:
         """Elements whose slot interval contains a pre-sampled point."""
         points = self.z_points if points is None else points
+        d, ceil = float(self.delta), math.ceil
         chosen: set = set()
         for part, pts in points.items():
             occupied = self.live[part]
+            last = self.slots_per_part[part] - 1
             for t in pts:
-                unit = occupied.get(self.slot_of_point(t, part))
+                slot = ceil(t / d) - 1  # slot_of_point, inlined
+                unit = occupied.get(last if slot > last else slot if slot > 0 else 0)
                 if unit is not None:
                     chosen.add(unit.element)
         return frozenset(chosen)

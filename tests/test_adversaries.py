@@ -220,6 +220,18 @@ def test_uniform_driver_against_capacity_rule_small():
     assert all(x <= 1 for x in driver.x)
 
 
+@pytest.mark.parametrize("k", [4, 5, 8, 10, 16, 20])
+def test_uniform_driver_capacity_rule_keeps_its_guarantee(k):
+    # the sound side: the stream cannot force the capacity rule below 1/alpha_k
+    alpha = solve_alpha(k)
+    driver = UniformHardnessDriver(Fraction(3), Fraction(1, 20), Fraction(1, 2), k)
+    out = run_adversary(
+        driver, lambda st, u: step_k_uniform(st, u, alpha), record_rounds=False
+    )
+    assert out.stop.reason == "phases-exhausted"
+    assert out.min_ratio >= alpha.ratio
+
+
 def test_uniform_driver_certifies_below_one_third_at_k_100():
     driver = UniformHardnessDriver(Fraction(3), Fraction("0.05"), Fraction("0.2"), 100)
     alpha = solve_alpha(100)

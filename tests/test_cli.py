@@ -3,6 +3,8 @@ import json
 import os
 import pathlib
 import random
+import statistics
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -25,7 +27,7 @@ from subfree.cli import (
 )
 from subfree.fractional import FractionalState
 from subfree.matroid import PartitionMatroid, UniformMatroid
-from subfree.objective import EXACT_SUPPORT_LIMIT, Linear
+from subfree.objective import EXACT_SUPPORT_LIMIT, Linear, WeightedCoverage
 from subfree.oracle import assignment_prefix_optima, random_instance
 from subfree.tracker import InvariantViolation
 
@@ -768,6 +770,73 @@ def test_verify_lemmas_steps_each_arrival_once(monkeypatch):
 def test_verify_rounding_suite():
     code, text = run_main(["verify", "--suite", "rounding", "--cases", "4", "--seed", "7"])
     assert code == EXIT_OK
+
+
+# -- trials ----------------------------------------------------------------------
+
+
+class CountingCoverage(WeightedCoverage):
+    """Weighted coverage that records the set of every value call."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = []  # list.append is atomic, so worker threads may share it
+
+    def value(self, s):
+        self.calls.append(s)
+        return super().value(s)
+
+
+def _trials_setup(seed=4):
+    base = random_coverage(random.Random(seed), 8, n_items=10, max_weight=50)
+    f = CountingCoverage(dict(base.universe_weight), dict(base.covers))
+    ground = sorted(f.elements())
+
+    def sample(s):
+        r = random.Random(s)
+        return frozenset(u for u in ground if r.random() < 0.3)
+
+    return f, sample
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 1001])
+def test_trial_mean_is_the_seed_order_mean(n):
+    f, sample = _trials_setup()
+    seeds = range(13, 13 + n)
+    expected = [f.value(sample(s)) for s in seeds]
+    assert cli._trial_values(f, sample, seeds) == expected
+    if n == 0:
+        assert cli._trial_mean(f, sample, seeds) is None
+    else:
+        assert cli._trial_mean(f, sample, seeds) == statistics.fmean(expected)
+
+
+def test_trial_values_call_the_oracle_once_per_distinct_set():
+    f, sample = _trials_setup()
+    seeds = range(5, 1006)
+    distinct = {sample(s) for s in seeds}
+    cli._block_values(f, sample, seeds)
+    assert len(f.calls) == len(distinct) < len(seeds)
+    assert set(f.calls) == distinct
+    f.calls.clear()
+    cli._trial_mean(f, sample, seeds)
+    # one memo per worker: at most one call per distinct set and worker
+    assert set(f.calls) == distinct
+    assert max(Counter(f.calls).values()) <= 8
+
+
+def test_trial_mean_passes_a_sampling_error_through():
+    f, sample = _trials_setup()
+    err = ValueError("no sample for seed 600")
+
+    def failing(s):
+        if s == 600:
+            raise err
+        return sample(s)
+
+    with pytest.raises(ValueError) as info:
+        cli._trial_mean(f, failing, range(3, 1004))
+    assert info.value is err
 
 
 # -- determinism --------------------------------------------------------------------

@@ -4,9 +4,10 @@ import statistics
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as hs
 
 from subfree.algorithms import solve_alpha
-from subfree.fractional import FractionalState
+from subfree.fractional import FractionalState, Unit
 from subfree.matroid import PartitionMatroid
 from subfree.objective import Linear, WeightedCoverage, soft_value
 from subfree.oracle import brute_force_opt, random_coverage_objective
@@ -141,6 +142,109 @@ def test_slot_map_injective_on_live_units():
         slots = [unit.slot for unit in units.values()]
         assert len(slots) == len(set(slots))
         assert all(0 <= s < st.slots_per_part[l] for s in slots)
+
+
+class ScanState(FractionalState):
+    """The definitional weakest unit and free slot: a scan of the part's
+    live units and a free list sorted so that pop() yields the lowest slot."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._free = {l: sorted(free, reverse=True) for l, free in self._free.items()}
+
+    def _weakest(self, part):
+        return min(self.live[part].values(), key=lambda z: (z.weight, z.seq))
+
+    def _append_unit(self, u, part, rate, trace):
+        self._seq += 1
+        slot = self._free[part].pop()
+        self.live[part][slot] = Unit(u, self._seq, rate, slot)
+        self._count(self.hist_units, self._hist_mass, u, 1)
+        self._count(self._live_units, self._live_mass, u, 1)
+        self.w_live[part] += float(self.delta) * rate
+        self.w_hist[part] += float(self.delta) * rate
+        self._max_unit_w[part] = max(self._max_unit_w[part], rate)
+        trace.append({"event": "unit", "element": u, "slot": slot, "weight": rate})
+
+    def _evict_weakest(self, part, trace):
+        unit = self._weakest(part)
+        del self.live[part][unit.slot]
+        self._count(self._live_units, self._live_mass, unit.element, -1)
+        self._free[part].append(unit.slot)
+        self._free[part].sort(reverse=True)
+        self.w_live[part] -= float(self.delta) * unit.weight
+        trace.append({"event": "drain", "element": unit.element, "slot": unit.slot,
+                      "weight": unit.weight})
+
+
+def _drain_streams():
+    """Seeded streams that drain: escalating chains and random coverage."""
+    for trial in range(6):
+        rng = random.Random(40 + trial)
+        n = 9
+        f = WeightedCoverage(
+            {f"x{j}": rng.randint(8, 12) * 3**j // 2**j for j in range(n)},
+            {f"e{j}": [f"x{j}"] + ([f"x{j - 1}"] if j else []) for j in range(n)})
+        yield f, partition_for(sorted(f.elements()), rng), [f"e{j}" for j in range(n)]
+    for trial in range(6):
+        rng = random.Random(70 + trial)
+        f = random_coverage(rng, 10, max_weight=30)
+        order = sorted(f.elements())
+        rng.shuffle(order)
+        yield f, partition_for(order, rng, max_parts=2), order
+
+
+def test_weakest_unit_heap_matches_the_scan():
+    drains = 0
+    for f, m, order in _drain_streams():
+        heap, scan = (cls(f, m, delta=Fraction(1, 10)) for cls in (FractionalState, ScanState))
+        for u in order:
+            events = heap.step(u)
+            assert events == scan.step(u)
+            drains += sum(e["event"] == "drain" for e in events)
+            assert heap.live == scan.live
+            for part in heap.parts:
+                if heap.live[part]:
+                    assert heap._weakest(part) == scan._weakest(part)
+    assert drains > 20
+
+
+def test_weakest_unit_ties_drain_oldest_first():
+    f = Linear({u: 1 for u in "abcd"})
+    m = PartitionMatroid({u: "p" for u in "abcd"}, {"p": 1})
+    traces = []
+    for st in (FractionalState(f, m, delta=Fraction(1, 4)), ScanState(f, m, delta=Fraction(1, 4))):
+        trace = []
+        for u, w in [("a", 1.0), ("b", 1.0), ("c", 0.5), ("d", 1.0)]:
+            st._append_unit(u, "p", w, trace)
+        st._evict_weakest("p", trace)
+        st._append_unit("a", "p", 1.0, trace)
+        for _ in range(4):
+            st._evict_weakest("p", trace)
+        st._append_unit("b", "p", 1.0, trace)
+        traces.append(trace)
+    assert traces[0] == traces[1]
+    assert [e["element"] for e in traces[0] if e["event"] == "drain"] == list("cabda")
+    assert [e["slot"] for e in traces[0] if e["event"] == "unit"] == [0, 1, 2, 3, 2, 0]
+
+
+@given(den=hs.sampled_from([10, 25, 50]), cap=hs.integers(1, 3), data=hs.data())
+def test_inlined_slot_lookup_matches_slot_of_point(den, cap, data):
+    f = Linear({"a": 1})
+    st = FractionalState(f, PartitionMatroid({"a": "p"}, {"p": cap}), delta=Fraction(1, den))
+    n = st.slots_per_part["p"]
+    st.live["p"] = {s: Unit(f"s{s}", s, 1.0, s) for s in range(n)}  # one owner per slot
+    d = float(st.delta)
+    j = data.draw(hs.integers(1, n))
+    points = [
+        j * d, float(Fraction(j, den)),  # exact multiples of delta, two roundings
+        math.nextafter(j * d, 0.0), math.nextafter(j * d, math.inf),
+        float(cap), math.nextafter(float(cap), 0.0),
+        math.nextafter(0.0, 1.0), 1e-300, d / 2,  # just above 0
+        data.draw(hs.floats(0.0, float(cap), exclude_min=True)),
+    ]
+    for t in points:
+        assert st.round_online({"p": [t]}) == {f"s{st.slot_of_point(t, 'p')}"}, t
 
 
 def test_round_online_sole_occupant_always_selected():
