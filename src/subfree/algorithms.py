@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .matroid import UniformMatroid
@@ -234,6 +235,14 @@ def commit_general_matroid(st: OnlineState, d: Decision, c=2,
 
 def step_general_matroid(st: OnlineState, u: str, c=2) -> Decision:
     return commit_general_matroid(st, propose_general_matroid(st, u, c), c)
+
+
+def exchange_ratio(c=2) -> Fraction:
+    """The fraction of the prefix optimum the exchange rule keeps after every
+    arrival: 1 / (c / (c - 1) + c) = (c - 1) / c^2, exactly 1/4 at c = 2."""
+    if not c > 1:
+        raise ValueError("the exchange rule needs c > 1")
+    return Fraction(c - 1) / Fraction(c) ** 2
 
 
 # -- best-singleton fallback ---------------------------------------------------

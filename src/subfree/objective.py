@@ -1,17 +1,14 @@
 """Submodular value oracles and their fractional extensions.
 
 Every oracle shares one interface: ``value`` on a set, ``marginal`` of an
-element against a set, plus three hooks the online bookkeeping relies on for
+element against a set, plus two hooks the online bookkeeping relies on for
 speed:
 
-* ``interacts(u, v)`` - may removing ``v`` from a context change the
-  marginal of ``u``?  Conservative ``True`` is always sound.
 * ``accumulator()`` - incremental marginals against a grow-only set.
 * ``current_weights()`` - a keeper of each member's marginal against the
   members added before it: ``add(u)`` returns the newest member's weight,
   ``remove(v)`` the new weight of each member that changed.  The generic
-  keeper recomputes ``marginal`` for the later members that ``interacts``
-  with ``v``.
+  keeper recomputes ``marginal`` for every member added after ``v``.
 
 The fractional extensions the randomized rules price their steps with are
 methods too: ``soft_value`` and ``soft_rate`` (the exponential extension
@@ -26,14 +23,13 @@ ones.
 
 Three families share one normal form, ``WeightedCoverage``: elements cover
 weighted items, and a set's value is the total weight of the items its
-members cover.  ``value``, ``interacts`` (do two elements share an item),
-the accumulator and the keeper are written once on that form, and its
-``register`` is the one way to grow an instance, element by element, as
-adaptive streams do.  The keeper is an ownership ledger: each item lists
-the members covering it in the order they were added, the first of them
-owns it, and a member's weight is the mass it owns; removing a member hands
-each item it owned to the next holder in line, so neither call evaluates
-``value``.
+members cover.  ``value``, the accumulator and the keeper are written once
+on that form, and its ``register`` is the one way to grow an instance,
+element by element, as adaptive streams do.  The keeper is an ownership
+ledger: each item lists the members covering it in the order they were
+added, the first of them owns it, and a member's weight is the mass it
+owns; removing a member hands each item it owned to the next holder in
+line, so neither call evaluates ``value``.
 The other two families only build items, once, at load.  ``Linear`` gives
 each element one private item of its weight.  ``IntervalCoverage`` uses the
 segments between consecutive interval endpoints, each weighing twice its
@@ -161,10 +157,6 @@ class Objective:
         if unknown:
             raise ObjectiveError(f"unknown elements: {sorted(unknown)}")
 
-    def interacts(self, u: str, v: str) -> bool:
-        """Whether v's presence in a context can influence u's marginal."""
-        return True
-
     def accumulator(self) -> "MarginalAccumulator":
         return MarginalAccumulator(self)
 
@@ -214,8 +206,8 @@ class CurrentWeights:
     """Current weights w_S(u) = f(u | members added before u); generic fallback.
 
     Members are kept in the order they were added.  Removing ``v``
-    recomputes the marginal of each later member that ``interacts`` with
-    ``v``, against the members before it.
+    recomputes the marginal of each later member against the members
+    before it.
     """
 
     def __init__(self, objective: Objective):
@@ -236,10 +228,9 @@ class CurrentWeights:
         changed = {}
         for j in range(i, len(members)):
             u = members[j]
-            if f.interacts(u, v):
-                new = f.marginal(u, frozenset(members[:j]))
-                if new != w[u]:
-                    changed[u] = w[u] = new
+            new = f.marginal(u, frozenset(members[:j]))
+            if new != w[u]:
+                changed[u] = w[u] = new
         return changed
 
 
@@ -304,9 +295,6 @@ class WeightedCoverage(Objective):
             covered |= self.covers[el]
         # sorted so float accumulation is independent of set iteration order
         return sum((self.universe_weight[i] for i in sorted(covered)), self.zero)
-
-    def interacts(self, u: str, v: str) -> bool:
-        return bool(self.covers[u] & self.covers[v])
 
     def accumulator(self) -> "MarginalAccumulator":
         return _CoverageAccumulator(self)
@@ -594,12 +582,6 @@ class ThinnedObjective(Objective):
 
     def value(self, s: Iterable[str]):
         return sampled_value_p(self.base, s, self.p)
-
-    def interacts(self, u: str, v: str) -> bool:
-        # The thinned marginal of u mixes base marginals f(u|T) over subsets
-        # T of the context; if v never changes f(u|T), the mixture is
-        # unchanged when v leaves the context.
-        return self.base.interacts(u, v)
 
 
 class ThinnedCoverage(ThinnedObjective):

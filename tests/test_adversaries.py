@@ -417,7 +417,3 @@ def test_uniform_driver_matches_interval_coverage(k):
         for s, f_s, value, values in rounds:
             assert f_s == value == reference.value(s)
             assert values == {u: reference.value({u}) for u in values}
-        for u in intervals:
-            for v in intervals:
-                if u != v:
-                    assert f.interacts(u, v) == reference.interacts(u, v)

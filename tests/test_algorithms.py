@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from subfree.algorithms import (
     commit_general_matroid,
     commit_k_uniform,
     dispatch_uniform,
+    exchange_ratio,
     solve_alpha,
     step_best_singleton,
     step_general_matroid,
@@ -322,6 +324,15 @@ def test_dispatch_uniform_routes():
     assert ratio == 0.5
     step4, ratio4 = dispatch_uniform(4)
     assert ratio4 == pytest.approx(1 / solve_alpha(4).value)
+
+
+def test_exchange_ratio():
+    assert exchange_ratio() == exchange_ratio(Fraction(2)) == Fraction(1, 4)
+    assert exchange_ratio(5) == Fraction(4, 25) == 1 / (Fraction(5, 4) + 5)
+    assert exchange_ratio(1.5) == Fraction(2, 9)
+    for c in (1, 0, -3, Fraction(1, 2), math.nan):
+        with pytest.raises(ValueError, match="needs c > 1"):
+            exchange_ratio(c)
 
 
 # -- bipartite composition ----------------------------------------------------------

@@ -4,7 +4,6 @@ import os
 import pathlib
 import random
 import statistics
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import subfree.cli as cli
 from subfree.adversaries import make_driver, run_adversary
-from subfree.algorithms import dispatch_uniform
+from subfree.algorithms import dispatch_uniform, solve_alpha
 from subfree.cli import (
     EXIT_INSTANCE,
     EXIT_OK,
@@ -230,6 +229,35 @@ def test_run_general_check_every_round(tmp_path, rng):
         if r["ratio"] is not None:
             assert r["ratio"] >= 0.25 - 1e-9
     assert lines[-1]["record"] == "final"
+
+
+@pytest.mark.parametrize("c", ["3", "5"])
+def test_run_general_checks_the_exchange_ratio_of_its_c(tmp_path, c):
+    # (c - 1) / c^2 is 2/9 at c = 3 and 0.16 at c = 5; coverage_small keeps 2/9
+    # of the optimum at c = 5, and at c = 5 b's 49/10 is short of 5 times a's 1
+    two = Instance(["a", "b"], objective=Linear({"a": 1, "b": Fraction(49, 10)}),
+                   matroid=UniformMatroid(1))
+    for path in (str(EXAMPLES / "coverage_small.json"), write_instance(tmp_path, two)):
+        code, text = run_main(["run", "--alg", "general", "--c", c, "--instance", path,
+                               "--check-every-round"])
+        assert code == EXIT_OK
+        final = json.loads(text.splitlines()[-1])
+        assert final["params"] == {"c": float(c)}
+        assert final["ratio"] >= (int(c) - 1) / int(c) ** 2 > 0.15
+    assert final["ratio"] == (pytest.approx(10 / 49) if c == "5" else 1.0)
+
+
+@pytest.mark.parametrize("c", ["0", "1", "-2", "1/2"])
+@pytest.mark.parametrize("empty", [False, True])
+def test_run_general_refuses_c_of_at_most_1(tmp_path, capsys, c, empty):
+    inst = Instance.load(str(EXAMPLES / "coverage_small.json"))
+    if empty:
+        inst = Instance([], objective=inst.objective, matroid=inst.matroid)
+    path = write_instance(tmp_path, inst)
+    for check in ([], ["--check-every-round"]):
+        code, text = run_main(["run", "--alg", "general", "--c", c, "--instance", path, *check])
+        assert (code, text) == (EXIT_INSTANCE, "")
+        assert capsys.readouterr().err == "error: the exchange rule needs c > 1\n"
 
 
 def test_run_k_uniform_check_every_round(tmp_path):
@@ -564,6 +592,20 @@ def test_adversary_alg_matroid_mismatch_exits_2():
     assert code == EXIT_INSTANCE  # capacity rule cannot run on a partition matroid
 
 
+@pytest.mark.parametrize("k, message", [
+    (None, "--alg k-uniform needs --k"),
+    ("3", "the capacity rule needs k >= 4 when rho=1"),
+    ("0", "k must be a positive integer or infinity"),
+])
+def test_adversary_k_uniform_plays_only_the_capacity_rule(capsys, k, message):
+    # unlike run, the adversary never routes k <= 3 to best-singleton
+    argv = ["adversary", "--family", "partition-monotone", "--alpha", "3", "--alg", "k-uniform",
+            "--quiet"]
+    code, out = run_main(argv + (["--k", k] if k else []))
+    assert (code, out) == (EXIT_INSTANCE, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_partition_frac_needs_partition_matroid(tmp_path):
     inst = make_instance(random.Random(31), 6, matroid_kind="uniform")
     path = write_instance(tmp_path, inst)
@@ -586,6 +628,50 @@ def test_violation_maps_to_exit_3(monkeypatch):
     monkeypatch.setattr(cli, "cmd_run", boom)
     code, _ = run_main(["run", "--alg", "general", "--instance", "x"])
     assert code == EXIT_VIOLATION
+
+
+@pytest.mark.parametrize("example, argv, what, guarantee", [
+    ("coverage_small", ["general"], "per-round ratio", 0.25),
+    ("coverage_small", ["general", "--c", "5"], "per-round ratio", 0.16),
+    ("coverage_small", ["general", "--c", "3/2"], "per-round ratio", 2 / 9),
+    ("interval_small", ["k-uniform"], "per-round ratio", 0.5),
+    ("interval_small", ["best-singleton"], "per-round ratio", 0.5),
+    ("coverage_small", ["best-singleton"], None, None),
+    ("coverage_small", ["partition-frac"], "fractional per-round ratio", 1 / 3.15),
+    ("coverage_small", ["nonmono-general"], "expected per-round ratio", 1 / 16),
+    ("interval_small", ["nonmono-uniform"], "expected per-round ratio",
+     solve_alpha(2, rho=3).ratio * (1 - 1 / 3)),
+    ("bipartite_small", ["bipartite"], "assignment per-round ratio", 1 / 5),
+])
+def test_every_rule_checks_its_guarantee_against_the_prefix_optimum(
+        monkeypatch, capsys, example, argv, what, guarantee):
+    # optima 100 times too large: every checked round falls short of its guarantee
+    reference = cli._reference_optima
+    monkeypatch.setattr(cli, "_reference_optima", lambda inst, check: [
+        100 * opt for opt in reference(inst, check)])
+    code, text = run_main(["run", "--alg", *argv, "--check-every-round",
+                           "--instance", str(EXAMPLES / f"{example}.json")])
+    err = capsys.readouterr().err
+    if guarantee is None:
+        assert (code, err) == (EXIT_OK, "")
+        return
+    assert (code, text) == (EXIT_VIOLATION, "")
+    reproducer, violation = err.splitlines()
+    assert json.loads(reproducer.removeprefix("reproducer: "))["alg"] == argv[0]
+    assert violation.startswith(f"violation: {what}: value ")
+    assert violation.split(" below ")[1].split(" * ")[0] == repr(guarantee)
+
+
+def test_k_uniform_checks_the_capacity_rule_constant(tmp_path, monkeypatch, capsys):
+    rng = random.Random(5)
+    f, _, order = random_instance(rng, 9)
+    path = write_instance(tmp_path, Instance(order, objective=f, matroid=UniformMatroid(4)))
+    reference = cli._reference_optima
+    monkeypatch.setattr(cli, "_reference_optima", lambda inst, check: [
+        100 * opt for opt in reference(inst, check)])
+    code, _ = run_main(["run", "--alg", "k-uniform", "--check-every-round", "--instance", path])
+    assert code == EXIT_VIOLATION
+    assert f" below {solve_alpha(4).ratio!r} * " in capsys.readouterr().err
 
 
 # -- constants / adversary / verify ----------------------------------------------------
@@ -815,14 +901,11 @@ def test_trial_values_call_the_oracle_once_per_distinct_set():
     f, sample = _trials_setup()
     seeds = range(5, 1006)
     distinct = {sample(s) for s in seeds}
-    cli._block_values(f, sample, seeds)
-    assert len(f.calls) == len(distinct) < len(seeds)
-    assert set(f.calls) == distinct
-    f.calls.clear()
-    cli._trial_mean(f, sample, seeds)
-    # one memo per worker: at most one call per distinct set and worker
-    assert set(f.calls) == distinct
-    assert max(Counter(f.calls).values()) <= 8
+    for trials in (cli._trial_values, cli._trial_mean):
+        f.calls.clear()
+        trials(f, sample, seeds)
+        assert len(f.calls) == len(distinct) < len(seeds)
+        assert set(f.calls) == distinct
 
 
 def test_trial_mean_passes_a_sampling_error_through():

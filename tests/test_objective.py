@@ -159,7 +159,7 @@ def _random_intervals(rng, n):
 
 class _IntervalReference:
     """The definition the normal form must reproduce: twice the density
-    measure of the merged union, and overlap of positive length."""
+    measure of the merged union."""
 
     def __init__(self, f, covers):
         self.f, self.covers = f, covers
@@ -168,12 +168,6 @@ class _IntervalReference:
         return 2 * self.f.weighted_measure(normalize_intervals(
             [iv for el in s for iv in self.covers[el]]
         ))
-
-    def overlaps(self, u, v):
-        return any(
-            max(a[0], b[0]) < min(a[1], b[1])
-            for a in self.covers[u] for b in self.covers[v]
-        )
 
 
 def _random_interval_instance(rng):
@@ -198,10 +192,6 @@ def test_interval_normal_form_matches_definition():
             assert type(value) is Fraction and value == ref.value(s)
             u = rng.choice(ground)
             assert f.marginal(u, s) == ref.value(s | {u}) - ref.value(s)
-        for u in ground:
-            for v in ground:
-                if u != v:
-                    assert f.interacts(u, v) == ref.overlaps(u, v)
 
 
 def test_interval_accumulator_matches_definition():
@@ -250,7 +240,6 @@ def test_linear_matches_sorted_sum():
             plain = sum(weights[el] for el in sorted(s))
             assert type(value) is type(plain) and value == plain
             assert acc.marginal(u) == weights[u]
-            assert not f.interacts(u, rng.choice([v for v in ground if v != u]))
             acc.add(u)
             assert acc.marginal(u) == 0
 
@@ -261,7 +250,7 @@ def test_weighted_coverage_register():
     acc.add("a")
     f.register("b", ["x", "z"], {"z": 3})
     assert f.value({"b"}) == 4 and f.value({"a", "b"}) == 4
-    assert acc.marginal("b") == 3 and f.interacts("a", "b")
+    assert acc.marginal("b") == 3
     before = (dict(f.universe_weight), dict(f.covers))
     for el, items, new, match in (
         ("a", ["y"], {}, "already registered"),
@@ -276,35 +265,7 @@ def test_weighted_coverage_register():
         assert (f.universe_weight, f.covers) == before
 
 
-# -- interaction and accumulator hooks --------------------------------------
-
-
-def _check_interacts_contract(f, rng, trials=150):
-    ground = sorted(f.elements())
-    for _ in range(trials):
-        u, v = rng.sample(ground, 2)
-        ctx = frozenset(rng.sample(ground, rng.randint(0, len(ground) - 1)))
-        ctx = (ctx - {u}) | {v}
-        if not f.interacts(u, v):
-            assert f.marginal(u, ctx) == f.marginal(u, ctx - {v})
-
-
-def test_interacts_contract_coverage(rng):
-    _check_interacts_contract(random_coverage(rng, 6), rng)
-
-
-def test_interacts_contract_linear(rng):
-    f = Linear({f"e{i}": i for i in range(5)})
-    _check_interacts_contract(f, rng)
-
-
-def test_interacts_contract_intervals(rng):
-    covers = {}
-    for i in range(6):
-        lo = Fraction(rng.randint(0, 8), 4)
-        covers[f"e{i}"] = [(lo, lo + Fraction(rng.randint(1, 4), 4))]
-    f = IntervalCoverage(Fraction(1, 3), covers)
-    _check_interacts_contract(f, rng)
+# -- accumulator hooks ------------------------------------------------------
 
 
 def test_accumulator_matches_direct_marginals(rng):
