@@ -205,9 +205,9 @@ def propose_general_matroid(st: OnlineState, u: str, c=2, view: str = CURRENT) -
     if view == CURRENT and not st.objective.monotone:
         raise ValueError("the exchange rule needs a monotone objective")
     w_u = st.w_arrival(u)
-    if st.matroid.can_add(st.feasible, u):
+    if st.occupancy.can_add(u):
         return Decision(u, w_u > 0, w_u=w_u)
-    swap = st.matroid.exchange_set(st.feasible, u)
+    swap = st.occupancy.exchange_set(u)
     if not swap:
         return Decision(u, False, w_u=w_u)
     worst = st.min_member(swap, view)

@@ -504,6 +504,7 @@ def run_bipartite(instance: Instance, check: bool, c=2) -> Tuple[List[dict], dic
     1/(alpha + 1) of the optimal assignment at the largest alpha."""
     if not instance.agents:
         raise InstanceError("bipartite needs an agents list in the instance")
+    exchange_alpha = float(1 / exchange_ratio(c))  # refuses c <= 1 before any arrival
     agents = []
     worst_alpha = 0.0
     for f, m in instance.agents:
@@ -514,7 +515,7 @@ def run_bipartite(instance: Instance, check: bool, c=2) -> Tuple[List[dict], dic
             worst_alpha = max(worst_alpha, alpha.value)
         else:
             agents.append(Agent.general(state, c))
-            worst_alpha = max(worst_alpha, float(1 / exchange_ratio(c)))
+            worst_alpha = max(worst_alpha, exchange_alpha)
 
     def play(i, u, opt):
         idx, d = step_bipartite(agents, u)
@@ -562,7 +563,11 @@ def cmd_run(args, out) -> int:
 
 def _cmd_run_inner(instance, args, seed, check, alg, out) -> int:
     params: Dict[str, object] = {}
-    c = 2
+    if args.c is not None and alg not in ("general", "bipartite"):
+        raise InstanceError(f"--c applies to --alg general and bipartite, not {alg}")
+    if args.k is not None and alg != "k-uniform":
+        raise InstanceError(f"--k applies to --alg k-uniform, not {alg}")
+    c = _exact("2" if args.c is None else args.c)
     if alg != "bipartite" and instance.agents:
         raise InstanceError(f"{alg} needs an objective and a matroid, not an agents list")
     if alg == "k-uniform":
@@ -572,8 +577,7 @@ def _cmd_run_inner(instance, args, seed, check, alg, out) -> int:
         if args.k is not None and args.k != k:
             raise InstanceError(f"--k {args.k} does not match the instance (k={k})")
         params = {"k": k, "routed": "best-singleton" if k <= 3 else "capacity-rule"}
-    elif alg == "general":
-        c = _exact(str(args.c))
+    elif alg in ("general", "bipartite"):
         params = {"c": float(c)}
     if alg in ("k-uniform", "general", "best-singleton"):
         records, final = run_deterministic(instance, *_rule(alg, instance.matroid, c), check)
@@ -586,7 +590,7 @@ def _cmd_run_inner(instance, args, seed, check, alg, out) -> int:
         records, final = run_nonmono(instance, alg, seed, args.trials, check)
         params = {"trials": args.trials}
     elif alg == "bipartite":
-        records, final = run_bipartite(instance, check)
+        records, final = run_bipartite(instance, check, c)
     else:
         raise InstanceError(f"unknown algorithm {alg!r}")
     final.update({"alg": alg, "params": params, "seed": seed})
@@ -754,7 +758,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--instance", required=True)
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--k", type=int, default=None)
-    run.add_argument("--c", default="2")
+    run.add_argument("--c", default=None, help="the exchange rule's c > 1 (default 2)")
     run.add_argument("--delta", default="0.02")
     run.add_argument("--check-every-round", action="store_true")
     run.add_argument("--trials", type=int, default=1)

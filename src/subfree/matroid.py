@@ -1,21 +1,28 @@
 """Independence structures: uniform, partition, and explicit small matroids.
 
-All three variants answer the same four queries: membership of a set in the
-independence family (``is_independent``), whether one more element fits
-(``can_add``), the exchange candidates that would make room for a new element
-(``exchange_set``), and exhaustive enumeration of independent subsets of a
-small ground set (the reference optimum needs the last one).
+All three variants answer the same set-argument queries: membership of a set
+in the independence family (``is_independent``), whether one more element
+fits (``can_add``), the exchange candidates that would make room for a new
+element (``exchange_set``), and exhaustive enumeration of independent subsets
+of a small ground set (the reference optimum needs the last one).
+``can_add`` and ``exchange_set`` are written once, on the base class, from
+``is_independent``.
 
-``exchange_set`` is written once, on the base class.  ``UniformMatroid`` and
-``PartitionMatroid`` answer ``can_add`` and its blocking-members step natively,
-by a count and by the arriving element's part, without one independence test
-per member; ``ExplicitMatroid`` keeps the generic definitions.
+An online run asks ``can_add`` and ``exchange_set`` of one growing and
+shrinking set, once or twice per arrival.  ``occupancy()`` returns a record of
+that set, which the run updates with ``add`` and ``remove`` and which answers
+both queries without an argument set.  Every occupancy holds the set as an
+immutable snapshot.  The base class's answers through the generic queries
+on it; that one is the reference, and ``ExplicitMatroid`` uses it.
+``UniformMatroid``'s counts the snapshot and ``PartitionMatroid``'s also
+keeps each part's members, so that either answers in O(1) apart from copying
+the arriving element's part.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional
 
 MAX_ENUM_GROUND = 20
 # Full exchange-axiom validation enumerates pairs of independent sets, so it
@@ -49,11 +56,12 @@ class Matroid:
             raise MatroidError(f"element {u!r} is already in the set")
         if self.can_add(s, u):
             return s
-        return self._blocking_members(s, u)
-
-    def _blocking_members(self, s: FrozenSet[str], u: str) -> FrozenSet[str]:
-        """{v in s : s - v + u independent}, for an independent s with s + u dependent."""
         return frozenset(v for v in s if self.is_independent((s - {v}) | {u}))
+
+    def occupancy(self) -> "Occupancy":
+        """A record of a held set, initially empty, that answers ``can_add``
+        and ``exchange_set`` for it."""
+        return Occupancy(self)
 
     def enumerate_independent_sets(self, ground: Iterable[str]) -> List[FrozenSet[str]]:
         """Every independent subset of ``ground``, each exactly once."""
@@ -86,12 +94,8 @@ class UniformMatroid(Matroid):
     def is_independent(self, s: Iterable[str]) -> bool:
         return len(frozenset(s)) <= self.k
 
-    def can_add(self, s: AbstractSet[str], u: str) -> bool:
-        return len(s) + (u not in s) <= self.k
-
-    def _blocking_members(self, s: FrozenSet[str], u: str) -> FrozenSet[str]:
-        # s is full, so removing any member makes room
-        return s
+    def occupancy(self) -> "UniformOccupancy":
+        return UniformOccupancy(self)
 
     def __repr__(self):
         return f"UniformMatroid(k={self.k})"
@@ -117,24 +121,16 @@ class PartitionMatroid(Matroid):
             raise MatroidError(f"element {u!r} has no part label") from None
 
     def is_independent(self, s: Iterable[str]) -> bool:
-        return self._within_capacity(frozenset(s), {})
-
-    def can_add(self, s: AbstractSet[str], u: str) -> bool:
-        return self._within_capacity(s, {} if u in s else {self.part(u): 1})
-
-    def _within_capacity(self, s: AbstractSet[str], counts: Dict[str, int]) -> bool:
-        """Whether s, on top of the given per-part counts, stays within every cap."""
-        for v in s:
+        counts: Dict[str, int] = {}
+        for v in frozenset(s):
             p = self.part(v)
             counts[p] = counts.get(p, 0) + 1
             if counts[p] > self.capacity[p]:
                 return False
         return True
 
-    def _blocking_members(self, s: FrozenSet[str], u: str) -> FrozenSet[str]:
-        # u's part is full in s; only a member of that part makes room
-        p = self.part_of[u]
-        return frozenset(v for v in s if self.part_of[v] == p)
+    def occupancy(self) -> "PartitionOccupancy":
+        return PartitionOccupancy(self)
 
     def __repr__(self):
         return f"PartitionMatroid(parts={len(self.capacity)})"
@@ -197,6 +193,95 @@ class ExplicitMatroid(Matroid):
 
     def __repr__(self):
         return f"ExplicitMatroid(|ground|={len(self.ground)}, bases={len(self.maximal_sets)})"
+
+
+class Occupancy:
+    """The reference occupancy: the held set, an immutable snapshot that
+    ``add`` and ``remove`` replace, asked through the matroid's set-argument
+    queries.
+
+    ``add(u)`` takes an element not held and ``remove(v)`` a held one;
+    neither checks independence, which is the caller's to ask first.
+    ``can_add(u, evict)`` is whether the held set less ``evict`` (a held
+    member other than u) plus u is independent.
+    """
+
+    def __init__(self, matroid: Matroid):
+        self.matroid = matroid
+        self.held: FrozenSet[str] = frozenset()
+
+    def add(self, u: str) -> None:
+        self.held = self.held | {u}
+
+    def remove(self, v: str) -> None:
+        self.held = self.held - {v}
+
+    def can_add(self, u: str, evict: Optional[str] = None) -> bool:
+        return self.matroid.can_add(self.held if evict is None else self.held - {evict}, u)
+
+    def exchange_set(self, u: str) -> FrozenSet[str]:
+        return self.matroid.exchange_set(self.held, u)
+
+
+class UniformOccupancy(Occupancy):
+    """Counts the held set.  Every exchange set is all of it, so it is the
+    held snapshot itself, never a copy."""
+
+    def can_add(self, u: str, evict: Optional[str] = None) -> bool:
+        return len(self.held) - (evict is not None) + (u not in self.held) <= self.matroid.k
+
+    def exchange_set(self, u: str) -> FrozenSet[str]:
+        if len(self.held) > self.matroid.k:
+            raise MatroidError("exchange_set requires an independent set")
+        if u in self.held:
+            raise MatroidError(f"element {u!r} is already in the set")
+        return self.held
+
+
+class PartitionOccupancy(Occupancy):
+    """The members held in each part, and how many parts hold more than their
+    capacity (never any, unless ``add`` went unchecked)."""
+
+    def __init__(self, matroid: PartitionMatroid):
+        super().__init__(matroid)
+        self.by_part: Dict[str, set] = {p: set() for p in matroid.capacity}
+        self.over = 0
+
+    def add(self, u: str) -> None:
+        p = self.matroid.part(u)
+        super().add(u)
+        in_part = self.by_part[p]
+        in_part.add(u)
+        self.over += len(in_part) == self.matroid.capacity[p] + 1
+
+    def remove(self, v: str) -> None:
+        super().remove(v)
+        p = self.matroid.part_of[v]
+        in_part = self.by_part[p]
+        in_part.remove(v)
+        self.over -= len(in_part) == self.matroid.capacity[p]
+
+    def can_add(self, u: str, evict: Optional[str] = None) -> bool:
+        p = self.matroid.part(u)
+        in_part = self.by_part[p]
+        size, over = len(in_part), self.over
+        if evict is not None:
+            q = self.matroid.part_of[evict]
+            over -= len(self.by_part[q]) == self.matroid.capacity[q] + 1
+            size -= q == p
+        return over == 0 and (u in in_part or size < self.matroid.capacity[p])
+
+    def exchange_set(self, u: str) -> FrozenSet[str]:
+        if self.over:
+            raise MatroidError("exchange_set requires an independent set")
+        p = self.matroid.part(u)
+        in_part = self.by_part[p]
+        if u in in_part:
+            raise MatroidError(f"element {u!r} is already in the set")
+        if len(in_part) < self.matroid.capacity[p]:
+            return self.held
+        # u's part is full; only a member of that part makes room
+        return frozenset(in_part)
 
 
 def uniform_as_explicit(k: int, ground: Iterable[str]) -> ExplicitMatroid:

@@ -32,12 +32,18 @@ owns the boundary where a weight in units meets a float in original units:
 module's helpers with its unit, so the rules never read the unit.  The
 no-decrease law compares each weight with its float floor the same way.
 
-Three more caches keep the capacity rule's per-arrival work independent of
-|S|:
+Four more caches keep the rules' per-arrival work independent of |S|:
 
-* ``feasible`` is an immutable snapshot that ``accept`` replaces and never
-  mutates, so a caller may hold it (``frozenset(state.feasible)`` is the
-  same object) and it never changes under the caller.
+* ``occupancy`` is the matroid's record of S (see the matroid module),
+  which ``accept`` updates only after its independence check passes.  The
+  check and the exchange rule read its ``can_add`` and ``exchange_set``
+  instead of asking the matroid about the whole of S: on a partition matroid
+  both look at the arriving element's part only, and on a uniform one the
+  exchange set of a full S is ``feasible`` itself.
+* ``feasible`` is the occupancy's held set, an immutable snapshot that
+  ``accept`` replaces and never mutates, so a caller may hold it
+  (``frozenset(state.feasible)`` is the same object) and it never changes
+  under the caller.
 * ``min_member`` over the whole set reads a lazy min-heap of
   (weight, acceptance index, member) per weight view, built on the first
   such query.  An accept pushes the new member and each weight the keeper
@@ -94,6 +100,7 @@ class OnlineState:
         self._w_arrival_S_sum = 0  # a float total is None after an eviction, until re-summed
         self._acc = objective.accumulator()
         self._keeper = objective.current_weights()
+        self.occupancy = matroid.occupancy()  # accept is its one writer
         self._heaps: Dict[str, list] = {}  # view -> lazy min-heap (see module docstring)
         self.threshold_cache = None  # (key holding len(history), value)
 
@@ -209,14 +216,14 @@ class OnlineState:
             raise TrackerError(f"element {u!r} was already accepted")
         if evict is not None and evict not in self.feasible:
             raise TrackerError(f"evict target {evict!r} is not in the feasible set")
-        rest = self.feasible if evict is None else self.feasible - {evict}
-        if not self.matroid.can_add(rest, u):
+        if not self.occupancy.can_add(u, evict):
             raise TrackerError(f"accepting {u!r} (evicting {evict!r}) violates independence")
 
         if evict is not None:
             w_out = self._ws.pop(evict)
             self.frozen_w[evict] = w_out
-            self.feasible = rest
+            self.occupancy.remove(evict)
+            self.feasible = self.occupancy.held
             self._w_S_sum -= w_out
             total = self._w_arrival_S_sum
             self._w_arrival_S_sum = (None if total is None or isinstance(total, float)
@@ -242,7 +249,8 @@ class OnlineState:
             # u is the newest member: the same left fold as a recomputation
             self._w_arrival_S_sum += w_u
         self._acc.add(u)
-        self.feasible = rest | {u}
+        self.occupancy.add(u)
+        self.feasible = self.occupancy.held
         ws_u = self._ws[u] = self._keeper.add(u)
         self._w_S_sum += ws_u
         self._push(CURRENT, u, ws_u)

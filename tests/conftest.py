@@ -1,8 +1,10 @@
+import copy
 import random
 
 import hypothesis
 import pytest
 
+from subfree.matroid import Occupancy
 from subfree.objective import ExplicitTable, WeightedCoverage, subset_key
 
 hypothesis.settings.register_profile(
@@ -33,6 +35,15 @@ def coverage_as_table(cov: WeightedCoverage) -> ExplicitTable:
         for j in range(i, len(ground)):
             stack.append((s | {ground[j]}, j + 1))
     return ExplicitTable(ground, table)
+
+
+def opaque_matroid(m):
+    """A copy of ``m`` behind the reference occupancy, which holds the set and
+    asks the generic set-argument queries; its type stays, as the capacity
+    rule needs."""
+    opaque = copy.copy(m)
+    opaque.occupancy = lambda: Occupancy(opaque)
+    return opaque
 
 
 @pytest.fixture

@@ -260,6 +260,53 @@ def test_run_general_refuses_c_of_at_most_1(tmp_path, capsys, c, empty):
         assert capsys.readouterr().err == "error: the exchange rule needs c > 1\n"
 
 
+def test_run_bipartite_passes_c_to_its_exchange_rule_agents():
+    path = str(EXAMPLES / "bipartite_small.json")
+    finals = {}
+    for c in (None, "2", "3", "50"):
+        code, text = run_main(["run", "--alg", "bipartite", "--check-every-round",
+                               "--instance", path] + (["--c", c] if c else []))
+        assert code == EXIT_OK
+        finals[c] = json.loads(text.splitlines()[-1])
+        assert finals[c]["params"] == {"c": float(c or 2)}
+    assert finals[None] == finals["2"]
+    # the partition agent keeps r4 over r8 when r8 must weigh 50 times as much
+    assert finals["50"]["per_agent"] != finals[None]["per_agent"]
+
+
+@pytest.mark.parametrize("c", ["0", "1", "-2", "1/2"])
+@pytest.mark.parametrize("empty", [False, True])
+def test_run_bipartite_refuses_c_of_at_most_1(tmp_path, capsys, c, empty):
+    path = str(EXAMPLES / "bipartite_small.json")
+    if empty:
+        doc = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(dict(doc, arrival_order=[])), encoding="utf-8")
+    for check in ([], ["--check-every-round"]):
+        code, text = run_main(["run", "--alg", "bipartite", "--c", c, "--instance",
+                               str(path), *check])
+        assert (code, text) == (EXIT_INSTANCE, "")
+        assert capsys.readouterr().err == "error: the exchange rule needs c > 1\n"
+
+
+RULES_OF = {"--c": ("general", "bipartite"), "--k": ("k-uniform",)}
+
+
+@pytest.mark.parametrize("flag, alg", [
+    (flag, alg) for flag, rules in RULES_OF.items()
+    for alg in ("k-uniform", "general", "best-singleton", "partition-frac",
+                "nonmono-general", "nonmono-uniform", "bipartite")
+    if alg not in rules
+])
+def test_run_refuses_a_parameter_its_rule_ignores(capsys, flag, alg):
+    example = "bipartite_small" if alg == "bipartite" else "coverage_small"
+    code, text = run_main(["run", "--alg", alg, flag, "4", "--instance",
+                           str(EXAMPLES / f"{example}.json")])
+    assert (code, text) == (EXIT_INSTANCE, "")
+    rules = " and ".join(RULES_OF[flag])
+    assert capsys.readouterr().err == f"error: {flag} applies to --alg {rules}, not {alg}\n"
+
+
 def test_run_k_uniform_check_every_round(tmp_path):
     rng = random.Random(5)
     f, _, order = random_instance(rng, 9)

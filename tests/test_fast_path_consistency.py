@@ -7,6 +7,9 @@ objective in an opaque shell (conservative interaction answers, generic
 accumulator and keeper) forces the slow definitional path; both paths must
 produce identical decisions, weights, and values on identical streams.
 
+The same holds for the matroid: the slow path runs on the matroid's reference
+occupancy, which holds the set and asks the generic set-argument queries.
+
 The closed-form extensions of weighted coverage (soft value and rate, the
 thinned oracle with its accumulator and keeper, the block-sampled value)
 are checked against the enumerations they replace.  Float enumeration and a
@@ -22,6 +25,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import opaque_matroid
 from subfree.adversaries import UniformHardnessDriver, run_adversary
 from subfree.algorithms import (
     NonmonotoneGeneralRun,
@@ -31,7 +35,7 @@ from subfree.algorithms import (
     step_general_matroid,
     step_k_uniform,
 )
-from subfree.matroid import UniformMatroid
+from subfree.matroid import PartitionMatroid, UniformMatroid
 from subfree.objective import (
     IntervalCoverage,
     Linear,
@@ -65,10 +69,11 @@ class OpaqueObjective(Objective):
 
 
 def trajectories_match(f, m, order, step):
-    """Steps the fast path and the opaque path side by side on coverage ``f``;
-    returns the fast path's hand-off counts (see ``hand_offs``)."""
+    """Steps the fast path and the opaque path (objective and matroid) side by
+    side on coverage ``f``; returns the fast path's hand-off counts (see
+    ``hand_offs``)."""
     fast = OnlineState(f, m)
-    slow = OnlineState(OpaqueObjective(f), m)
+    slow = OnlineState(OpaqueObjective(f), opaque_matroid(m))
     counts = [0, 0]
     for u in order:
         df = step(fast, u)
@@ -119,6 +124,32 @@ def test_exchange_rule_paths_agree():
         trajectories_match(f, m, order, lambda st, u: step_general_matroid(st, u))
 
 
+def test_exchange_rule_paths_agree_on_a_partition_stream():
+    """500 coverage arrivals under 20 parts of capacity 3, each covering 2-6
+    items just behind the stream's position, the items heavier later on."""
+    rng = random.Random(17)
+    n, parts, items = 500, 20, 750
+    weights = {f"i{j}": 1 + (j * 40) // items + rng.randint(0, 3) for j in range(items)}
+    covers, part_of = {}, {}
+    for e in range(n):
+        c = e * items // n
+        pool = range(max(0, c - 60), min(items, c + 8))
+        covers[f"e{e}"] = {f"i{j}" for j in rng.sample(pool, rng.randint(2, 6))}
+        part_of[f"e{e}"] = f"p{rng.randrange(parts)}"
+    m = PartitionMatroid(part_of, {f"p{q}": 3 for q in range(parts)})
+    f = WeightedCoverage(weights, covers)
+    fast = OnlineState(f, m)
+    slow = OnlineState(OpaqueObjective(f), opaque_matroid(m))
+    evictions = 0
+    for u in (f"e{e}" for e in range(n)):
+        df, ds = step_general_matroid(fast, u), step_general_matroid(slow, u)
+        assert (df.accepted, df.evicted, df.w_u) == (ds.accepted, ds.evicted, ds.w_u)
+        assert fast.feasible == slow.feasible
+        assert fast.f_S() == slow.f_S()
+        evictions += df.evicted is not None
+    assert len(fast.feasible) == 60 and evictions > 50
+
+
 def test_capacity_rule_paths_agree():
     for trial in range(40):
         rng = random.Random(100 + trial)
@@ -136,8 +167,10 @@ def test_interval_hardness_paths_agree():
 
     def run(fast: bool):
         driver = UniformHardnessDriver(Fraction(2), Fraction(1, 10), Fraction(1, 2), k)
-        f = driver.objective if fast else OpaqueObjective(driver.objective)
-        state = OnlineState(f, driver.matroid)
+        if fast:
+            state = OnlineState(driver.objective, driver.matroid)
+        else:
+            state = OnlineState(OpaqueObjective(driver.objective), opaque_matroid(driver.matroid))
         out = run_adversary(
             driver, lambda st, u: step_k_uniform(st, u, alpha), state=state
         )

@@ -4,30 +4,23 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import opaque_matroid
 from subfree.matroid import (
     ExplicitMatroid,
-    Matroid,
     MatroidError,
     PartitionMatroid,
     UniformMatroid,
+    UniformOccupancy,
     uniform_as_explicit,
 )
+from subfree.objective import Linear
+from subfree.tracker import OnlineState, TrackerError
 
 
 def powerset(items):
     items = sorted(items)
     for r in range(len(items) + 1):
         yield from (frozenset(c) for c in combinations(items, r))
-
-
-class OpaqueMatroid(Matroid):
-    """Same independence family, answered only by the generic queries."""
-
-    def __init__(self, base):
-        self.base = base
-
-    def is_independent(self, s):
-        return self.base.is_independent(s)
 
 
 def outcome(query, *args):
@@ -205,22 +198,105 @@ def test_exchange_axiom_spot_check_partition():
                 assert any(m.is_independent(s | {v}) for v in t - s)
 
 
+class Held:
+    """A matroid's occupancy and the reference one holding the same set;
+    ``add`` and ``remove`` update both."""
+
+    def __init__(self, m):
+        self.fast = m.occupancy()
+        self.slow = opaque_matroid(m).occupancy()
+
+    @property
+    def members(self):
+        assert self.fast.held == self.slow.held
+        return self.fast.held
+
+    def add(self, u):
+        self.fast.add(u)
+        self.slow.add(u)
+
+    def remove(self, v):
+        self.fast.remove(v)
+        self.slow.remove(v)
+
+    def agree(self, u, evict=None):
+        """Both occupancies answer alike for arrival u, errors included; an
+        exchange set of a uniform matroid is the held snapshot itself."""
+        fit = outcome(self.fast.can_add, u, evict)
+        assert fit == outcome(self.slow.can_add, u, evict)
+        if evict is None:
+            swap = outcome(self.fast.exchange_set, u)
+            assert swap == outcome(self.slow.exchange_set, u)
+            if isinstance(self.fast, UniformOccupancy) and isinstance(swap, frozenset):
+                assert swap is self.fast.held
+        return fit
+
+
 def test_native_queries_match_generic_definition():
+    """Each matroid's occupancy against the reference, over random accept and
+    accept-with-evict sequences; now and then an element is added unchecked,
+    so that the held set turns dependent and the queries must say so."""
     rng = random.Random(6)
     kinds = set()
     for _ in range(300):
         ground = [f"e{i}" for i in range(rng.randint(1, 7))]
         m = random_matroid(rng, ground)
         kinds.add(type(m))
-        generic = OpaqueMatroid(m)
-        for _ in range(10):
-            # any subset of the ground: dependent ones and ones holding u too
-            s = frozenset(v for v in ground if rng.random() < 0.5)
-            u = rng.choice(ground)
-            for view in (s, set(s)):
-                assert outcome(m.can_add, view, u) == outcome(generic.can_add, view, u)
-                assert outcome(m.exchange_set, view, u) == outcome(generic.exchange_set, view, u)
+        held = Held(m)
+        for _ in range(12):
+            members = sorted(held.members)
+            for u in ground:
+                held.agree(u)
+                if members and u not in held.members:
+                    held.agree(u, rng.choice(members))
+            if isinstance(m, PartitionMatroid) and m.is_independent(held.members):
+                # an unlabelled arrival; past a dependent set the generic
+                # scan may stop at an over-full part before it reaches it
+                assert held.agree("z")[0] == "MatroidError"
+            fresh = [u for u in ground if u not in held.members]
+            if not fresh:
+                break
+            u = rng.choice(fresh)
+            evict = rng.choice(members) if members and rng.random() < 0.5 else None
+            if held.agree(u, evict) is True:
+                if evict is not None:
+                    held.remove(evict)
+                held.add(u)
+            elif rng.random() < 0.2:
+                held.add(u)
     assert kinds == {UniformMatroid, PartitionMatroid, ExplicitMatroid}
+
+
+def test_dependent_accept_leaves_the_occupancy_unchanged():
+    """Random accept attempts on a state: one raises exactly when the set it
+    asks for is dependent, and after every attempt the state's occupancy
+    answers as the set-argument queries do on the state's feasible set."""
+    rng = random.Random(16)
+    raised = 0
+    for _ in range(100):
+        ground = [f"e{i}" for i in range(rng.randint(2, 7))]
+        m = random_matroid(rng, ground)
+        state = OnlineState(Linear({u: rng.randint(1, 9) for u in ground}), m)
+        order = list(ground)
+        rng.shuffle(order)
+        for u in order:
+            before = state.feasible
+            evict = rng.choice(sorted(before)) if before and rng.random() < 0.5 else None
+            fits = m.is_independent((before - {evict}) | {u})
+            if fits:
+                state.accept(u, evict=evict)
+            else:
+                with pytest.raises(TrackerError, match="violates independence"):
+                    state.accept(u, evict=evict)
+                assert state.feasible is before
+                raised += 1
+            assert state.feasible is state.occupancy.held
+            for v in ground:
+                if v not in state.acc_index:
+                    assert outcome(state.occupancy.can_add, v) == outcome(m.can_add, state.feasible, v)
+                    assert (outcome(state.occupancy.exchange_set, v)
+                            == outcome(m.exchange_set, state.feasible, v))
+    assert raised > 50
 
 
 ERROR_MATROIDS = {
@@ -237,10 +313,14 @@ ERROR_MATROIDS = {
     ({"a"}, "z"),
 ], ids=["u-in-s", "dependent-s", "unlabelled-u"])
 def test_native_query_errors_match_generic(name, s, u):
-    m = ERROR_MATROIDS[name]
-    generic = OpaqueMatroid(m)
-    for query in ("can_add", "exchange_set"):
-        assert outcome(getattr(m, query), s, u) == outcome(getattr(generic, query), s, u)
+    held = Held(ERROR_MATROIDS[name])
+    for v in sorted(s):
+        held.add(v)  # unchecked: the dependent case holds a dependent set
+    fit = held.agree(u)
+    if u != "a":
+        held.agree(u, "a")
     # every id is a valid element of a uniform matroid
     raises = not (name == "uniform" and u == "z")
-    assert isinstance(outcome(m.exchange_set, s, u), tuple) == raises
+    assert isinstance(outcome(held.fast.exchange_set, u), tuple) == raises
+    if name == "partition" and u == "z":
+        assert fit == ("MatroidError", "element 'z' has no part label")
