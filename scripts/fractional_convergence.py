@@ -3,7 +3,8 @@
 
 For a handful of random partition instances, runs the threshold rule at
 several granularities and prints f_hat(S) / OPT next to the continuous
-floor 1/alpha_inf ~ 0.3178, plus the mean rounded value over 2000 seeds.
+floor 1/alpha_inf ~ 0.3178, plus the mean rounded value over 2000
+roundings drawn from one generator.
 """
 
 import random
@@ -50,7 +51,7 @@ def main():
                 st.step(u)
             fhat = st.soft_value_live()
             rounded = statistics.fmean(
-                float(f.value(st.round_with_seed(s))) for s in range(2000)
+                float(f.value(chosen)) for chosen in st.roundings(0, 2000)
             )
             print(
                 f"  delta=1/{delta.denominator:<4} fhat/OPT = {float(fhat / opt):.4f}"

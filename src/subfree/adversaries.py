@@ -350,14 +350,19 @@ def run_adversary(
     min_round = -1
     n = 0
     last = None  # (f(S), OPT) of the previous round, in units
+    checked = None  # the last S found independent
     while True:
         nxt = driver.next_element(frozenset(state.feasible))
         if isinstance(nxt, Stop):
             stop = nxt
             break
         step(state, nxt)
-        if not driver.matroid.is_independent(state.feasible):
-            raise InvariantViolation("algorithm bug: infeasible set after round")
+        # S is an immutable snapshot that every change replaces, so the same
+        # object was already found independent
+        if state.feasible is not checked:
+            if not driver.matroid.is_independent(state.feasible):
+                raise InvariantViolation("algorithm bug: infeasible set after round")
+            checked = state.feasible
         n += 1
         opt = driver.scaled_opt()
         f_s = state.scaled_f_S()

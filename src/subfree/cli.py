@@ -27,7 +27,7 @@ import sys
 import random
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .adversaries import make_driver, run_adversary
 from .algorithms import (
@@ -351,11 +351,12 @@ def _reference_optima(instance: Instance, check: bool) -> List[object]:
     return [None] * len(order)
 
 
-def _trial_values(f: Objective, sample: Callable[[int], frozenset], seeds: range) -> list:
-    """f of one sample per trial seed, in seed order, evaluating f once per
-    distinct sampled set.  The one-worker pool only marks the trials phase for
-    the benchmark's tracer, which hooks ``ThreadPoolExecutor``; it goes once
-    the benchmark times the phase another way."""
+def _trial_values(f: Objective, samples: Iterable[frozenset]) -> list:
+    """f of each sampled set, in order, evaluating f once per distinct set.
+    The sets are drawn as the list is built, inside the one-worker pool,
+    which only marks the trials phase for the benchmark's tracer (it hooks
+    ``ThreadPoolExecutor``); it goes once the benchmark times the phase
+    another way."""
     memo: dict = {}
 
     def value(chosen: frozenset):
@@ -364,13 +365,12 @@ def _trial_values(f: Objective, sample: Callable[[int], frozenset], seeds: range
         return memo[chosen]
 
     with ThreadPoolExecutor(max_workers=1) as pool:
-        return pool.submit(lambda: [value(sample(s)) for s in seeds]).result()
+        return pool.submit(lambda: [value(chosen) for chosen in samples]).result()
 
 
-def _trial_mean(f: Objective, sample: Callable[[int], frozenset], seeds: range):
-    """Mean of f over one sample per trial seed, in seed order; None without
-    trials."""
-    values = _trial_values(f, sample, seeds)
+def _trial_mean(f: Objective, samples: Iterable[frozenset]):
+    """Mean of f over the sampled sets; None without trials."""
+    values = _trial_values(f, samples)
     return statistics.fmean(values) if values else None
 
 
@@ -446,8 +446,7 @@ def run_fractional(instance: Instance, delta, seed: int, trials: int,
                 "soft_value": to_jsonable(fhat), "opt_prefix": to_jsonable(opt)}, fhat + slack
 
     records, opt = _replay(instance, check, play, 1 / 3.15, "fractional per-round ratio")
-    rounded_mean = _trial_mean(instance.objective, state.round_with_seed,
-                               range(seed + 1, seed + 1 + trials))
+    rounded_mean = _trial_mean(instance.objective, state.roundings(seed + 1, trials))
     final = {
         "record": "final",
         "soft_value": (records[-1]["soft_value"] if records
@@ -485,8 +484,8 @@ def run_nonmono(instance: Instance, kind: str, seed: int, trials: int,
         return rec, expected
 
     records, opt = _replay(instance, check, play, guarantee, "expected per-round ratio")
-    trial_mean_f = _trial_mean(instance.objective, run.sample_with_seed,
-                               range(seed, seed + trials))
+    trial_mean_f = _trial_mean(instance.objective,
+                               map(run.sample_with_seed, range(seed, seed + trials)))
     final = {
         "record": "final",
         "expected_f": (records[-1]["expected_f"] if records
@@ -710,7 +709,7 @@ def _verify_rounding(rng: random.Random, cases: int, out) -> int:
             st.step(u)
         target = st.soft_value_live()
         n = 2000
-        vals = _trial_values(f, st.round_with_seed, range(n))
+        vals = _trial_values(f, st.roundings(0, n))
         mean = statistics.fmean(vals)
         sigma = statistics.pstdev(vals) / math.sqrt(n) if n else 0.0
         ok = mean >= target - 3 * sigma - 1e-9

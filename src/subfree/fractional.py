@@ -12,7 +12,11 @@ simultaneous drain, and it also bounds the work per arrival.
 Rounding pre-samples, per part with capacity ``c``, ``c`` points uniformly
 in the part's knapsack ``(0, c]``.  The rounded set consists of the
 elements owning a slot interval that contains a sampled point, which is
-feasible by construction.
+feasible by construction.  ``round_with_seed(s)`` is one rounding from its
+own generator ``random.Random(s)``; ``roundings(s, n)`` is a phase of ``n``
+roundings drawn in turn from one such generator, so its first rounding is
+``round_with_seed(s)`` and the phase seeds a generator once, not ``n``
+times.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .matroid import PartitionMatroid
 from .objective import Objective
@@ -85,7 +89,7 @@ class FractionalState:
         self.w_hist: Dict[str, float] = {l: 0.0 for l in self.parts}
         self._max_unit_w: Dict[str, float] = {l: 0.0 for l in self.parts}
         self._seq = 0
-        self.z_points = self._draw_points(seed)
+        self.z_points = self._draw_points(random.Random(seed))
 
     # -- mass views -------------------------------------------------------
 
@@ -189,13 +193,21 @@ class FractionalState:
                     chosen.add(unit.element)
         return frozenset(chosen)
 
-    def _draw_points(self, seed: int) -> Dict[str, List[float]]:
-        rng = random.Random(seed)
+    def _draw_points(self, rng: random.Random) -> Dict[str, List[float]]:
+        # part by part in the matroid's order, cap points in (0, cap] for a
+        # part of capacity cap: the order every rounding draws in
         return {
             l: [cap * (1.0 - rng.random()) for _ in range(cap)]
             for l, cap in self.parts.items()
         }
 
     def round_with_seed(self, seed: int) -> frozenset:
-        return self.round_online(self._draw_points(seed))
+        return self.round_online(self._draw_points(random.Random(seed)))
+
+    def roundings(self, seed: int, trials: int) -> Iterator[frozenset]:
+        """``trials`` roundings, each from the next points of one generator
+        seeded ``seed``; the first is ``round_with_seed(seed)``."""
+        rng = random.Random(seed)
+        for _ in range(trials):
+            yield self.round_online(self._draw_points(rng))
 

@@ -298,8 +298,40 @@ def test_run_adversary_flags_infeasible_algorithm():
     def cheating_step(state, u):
         state.feasible = state.feasible | {u}  # bypasses the tracker and the matroid
 
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="algorithm bug: infeasible set after round"):
         run_adversary(driver, cheating_step)
+
+
+def test_run_adversary_flags_a_dependent_set_after_unchanged_rounds():
+    driver = PartitionMonotoneDriver(Fraction(3))
+    offered = []
+
+    def late_cheat(state, u):
+        offered.append(u)
+        if u == "x1|0":
+            state.accept(u)
+        elif u == "x2|0":  # a second element of part 0, past the tracker
+            state.feasible = state.feasible | {u}
+
+    with pytest.raises(InvariantViolation, match="algorithm bug: infeasible set after round"):
+        run_adversary(driver, late_cheat)
+    assert offered == ["x1|0", "x1|1", "x2|0"]
+
+
+def test_run_adversary_checks_each_new_set_once():
+    driver = make_driver("partition-general", Fraction(7, 2))
+    checked, after_round = [], []
+    is_independent = driver.matroid.is_independent
+    driver.matroid.is_independent = lambda s: checked.append(s) or is_independent(s)
+
+    def step(state, u):
+        step_general_matroid(state, u)
+        after_round.append(state.feasible)
+
+    run_adversary(driver, step)
+    changed = [s for i, s in enumerate(after_round) if i == 0 or s is not after_round[i - 1]]
+    assert [id(s) for s in checked] == [id(s) for s in changed]
+    assert len(changed) < len(after_round) / 2  # most rounds keep S
 
 
 class _ScriptedDriver(AdversaryDriver):

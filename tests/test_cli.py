@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import pathlib
 import random
@@ -905,6 +906,43 @@ def test_verify_rounding_suite():
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_verify_rounding_suite_passes_its_three_sigma_test(seed):
+    code, text = run_main(["verify", "--suite", "rounding", "--cases", "20",
+                           "--seed", str(seed)])
+    assert code == EXIT_OK
+    assert [json.loads(line) for line in text.splitlines()] == [
+        {"record": "suite", "suite": "rounding", "cases": 20, "failures": 0}]
+
+
+def test_rounded_mean_keeps_the_hoeffding_bound_at_20000_trials():
+    # the mean of n values in [0, f(ground)] falls below its expectation, which
+    # is at least the soft value, by more than this margin with odds below 1e-6
+    path = EXAMPLES / "coverage_wide.json"
+    trials = 20000
+    code, text = run_main(["run", "--alg", "partition-frac", "--instance", str(path),
+                           "--seed", "3", "--trials", str(trials)])
+    assert code == EXIT_OK
+    final = json.loads(text.splitlines()[-1])
+    top = sum(json.loads(path.read_text(encoding="utf-8"))["objective"]["universe_weight"].values())
+    margin = top * math.sqrt(math.log(1e6) / (2 * trials))
+    assert final["rounded_mean"] >= final["soft_value"] - margin
+
+
+def test_rounded_mean_is_the_mean_over_one_generator_seeded_seed_plus_one():
+    inst = Instance.load(str(EXAMPLES / "coverage_small.json"))
+    seed, trials = 5, 300
+    _, final = cli.run_fractional(inst, None, seed, trials, check=False)
+    st = FractionalState(inst.objective, inst.matroid, seed=seed)
+    for u in inst.arrival_order:
+        st.step(u)
+    values = [inst.objective.value(chosen) for chosen in st.roundings(seed + 1, trials)]
+    assert final["rounded_mean"] == statistics.fmean(values)
+    assert final["rounded_once"] == sorted(st.round_online())
+    _, once = cli.run_fractional(inst, None, seed, 1, check=False)
+    assert once["rounded_mean"] == inst.objective.value(st.round_with_seed(seed + 1))
+
+
 # -- trials ----------------------------------------------------------------------
 
 
@@ -937,11 +975,11 @@ def test_trial_mean_is_the_seed_order_mean(n):
     f, sample = _trials_setup()
     seeds = range(13, 13 + n)
     expected = [f.value(sample(s)) for s in seeds]
-    assert cli._trial_values(f, sample, seeds) == expected
+    assert cli._trial_values(f, map(sample, seeds)) == expected
     if n == 0:
-        assert cli._trial_mean(f, sample, seeds) is None
+        assert cli._trial_mean(f, map(sample, seeds)) is None
     else:
-        assert cli._trial_mean(f, sample, seeds) == statistics.fmean(expected)
+        assert cli._trial_mean(f, map(sample, seeds)) == statistics.fmean(expected)
 
 
 def test_trial_values_call_the_oracle_once_per_distinct_set():
@@ -950,7 +988,7 @@ def test_trial_values_call_the_oracle_once_per_distinct_set():
     distinct = {sample(s) for s in seeds}
     for trials in (cli._trial_values, cli._trial_mean):
         f.calls.clear()
-        trials(f, sample, seeds)
+        trials(f, map(sample, seeds))
         assert len(f.calls) == len(distinct) < len(seeds)
         assert set(f.calls) == distinct
 
@@ -965,7 +1003,7 @@ def test_trial_mean_passes_a_sampling_error_through():
         return sample(s)
 
     with pytest.raises(ValueError) as info:
-        cli._trial_mean(f, failing, range(3, 1004))
+        cli._trial_mean(f, map(failing, range(3, 1004)))
     assert info.value is err
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as hs
 
+from subfree import fractional
 from subfree.algorithms import solve_alpha
 from subfree.fractional import FractionalState, Unit
 from subfree.matroid import PartitionMatroid
@@ -276,6 +277,54 @@ def test_round_online_respects_partition_feasibility():
     for seed in range(100):
         chosen = st.round_with_seed(seed)
         assert m.is_independent(chosen)
+
+
+def _stepped_states():
+    """Random partition states after their streams, at several capacities."""
+    for trial in range(8):
+        rng = random.Random(80 + trial)
+        f = random_coverage(rng, rng.randint(4, 9))
+        order = sorted(f.elements())
+        m = partition_for(order, rng, max_parts=3, max_cap=3)
+        st = FractionalState(f, m, delta=Fraction(1, 10), seed=trial)
+        rng.shuffle(order)
+        for u in order:
+            st.step(u)
+        yield st
+
+
+def test_roundings_draw_in_order_from_one_generator():
+    varied = 0
+    for st in _stepped_states():
+        for seed in (0, 11, 2**40 + 3):
+            rng = random.Random(seed)
+            expected = []
+            for _ in range(200):
+                # part by part in the matroid's order, cap points in (0, cap]
+                points = {l: [cap * (1.0 - rng.random()) for _ in range(cap)]
+                          for l, cap in st.matroid.capacity.items()}
+                expected.append(st.round_online(points))
+            got = list(st.roundings(seed, 200))
+            assert got == expected
+            assert got[0] == st.round_with_seed(seed)
+            assert all(st.matroid.is_independent(chosen) for chosen in got)
+            varied += len(set(got)) > 1
+        assert list(st.roundings(5, 0)) == []
+    assert varied == 24  # no phase repeats one set: the states are not trivial
+
+
+def test_a_rounding_phase_seeds_one_generator(monkeypatch):
+    st = next(_stepped_states())
+    made = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(fractional.random, "Random", CountingRandom)
+    assert len(list(st.roundings(9, 1000))) == 1000
+    assert made == [(9,)]
 
 
 def test_rounding_mean_dominates_soft_value():
