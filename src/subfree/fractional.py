@@ -16,7 +16,10 @@ feasible by construction.  ``round_with_seed(s)`` is one rounding from its
 own generator ``random.Random(s)``; ``roundings(s, n)`` is a phase of ``n``
 roundings drawn in turn from one such generator, so its first rounding is
 ``round_with_seed(s)`` and the phase seeds a generator once, not ``n``
-times.
+times.  The state does not change during a phase, so the phase reads each
+part's slot owners once, maps every drawn point straight to its owner, and
+returns one shared set per distinct rounding.  ``round_online`` stays the
+definitional path that the phase is tested against.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .matroid import PartitionMatroid
@@ -33,6 +37,8 @@ from .objective import Objective
 from .tracker import InvariantViolation
 
 THRESHOLD_TOL = 1e-9
+# bin()'s digits as the bytes 0 and 1 by which itertools.compress selects
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _as_exact(delta) -> Fraction:
@@ -174,7 +180,7 @@ class FractionalState:
 
     def slot_of_point(self, t: float, part: str) -> int:
         # slots are ((s)delta, (s+1)delta]; points live in (0, cap];
-        # round_online inlines this per point
+        # round_online and roundings inline this per point
         idx = int(math.ceil(t / float(self.delta))) - 1
         return min(max(idx, 0), self.slots_per_part[part] - 1)
 
@@ -206,8 +212,29 @@ class FractionalState:
 
     def roundings(self, seed: int, trials: int) -> Iterator[frozenset]:
         """``trials`` roundings, each from the next points of one generator
-        seeded ``seed``; the first is ``round_with_seed(seed)``."""
-        rng = random.Random(seed)
+        seeded ``seed``; the first is ``round_with_seed(seed)``.  Each trial
+        draws the points of ``_draw_points`` and maps them as ``round_online``
+        does, but straight to a bit of the slot's owner, read once for the
+        phase; equal roundings come back as one shared set."""
+        bit_of: Dict[str, int] = {}
+        layout = []  # per part: cap, last slot, slot owners' bits (0: empty), cap draws
+        for part, cap in self.parts.items():
+            owners = [0] * self.slots_per_part[part]
+            for slot, unit in self.live[part].items():
+                owners[slot] = bit_of.setdefault(unit.element, 1 << len(bit_of))
+            layout.append((cap, len(owners) - 1, owners, range(cap)))
+        elements = list(bit_of)  # element i owns bit 1 << i
+        sets: Dict[int, frozenset] = {}
+        draw, ceil, d = random.Random(seed).random, math.ceil, float(self.delta)
         for _ in range(trials):
-            yield self.round_online(self._draw_points(rng))
+            mask = 0
+            for cap, last, owners, points in layout:
+                for _ in points:
+                    slot = ceil(cap * (1.0 - draw()) / d) - 1
+                    mask |= owners[last if slot > last else slot if slot > 0 else 0]
+            chosen = sets.get(mask)
+            if chosen is None:
+                picks = bin(mask)[:1:-1].encode().translate(_DIGIT_BYTES)  # bit 0 first
+                chosen = sets[mask] = frozenset(compress(elements, picks))
+            yield chosen
 

@@ -25,6 +25,17 @@ def random_coverage(rng: random.Random, n_elements: int, n_items: int = 6,
     return WeightedCoverage(weights, covers)
 
 
+def online_roundings(st, seed: int, trials: int) -> list:
+    """The definitional rounding phase of a ``FractionalState``: ``trials``
+    calls of ``round_online``, each on the next points of one generator
+    seeded ``seed``, drawn part by part in the matroid's order, ``cap``
+    points in (0, cap] for a part of capacity ``cap``."""
+    rng = random.Random(seed)
+    return [st.round_online({l: [cap * (1.0 - rng.random()) for _ in range(cap)]
+                             for l, cap in st.matroid.capacity.items()})
+            for _ in range(trials)]
+
+
 def coverage_as_table(cov: WeightedCoverage) -> ExplicitTable:
     ground = sorted(cov.elements())
     table = {}

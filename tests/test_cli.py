@@ -31,7 +31,7 @@ from subfree.objective import EXACT_SUPPORT_LIMIT, Linear, WeightedCoverage
 from subfree.oracle import assignment_prefix_optima, random_instance
 from subfree.tracker import InvariantViolation
 
-from conftest import random_coverage
+from conftest import online_roundings, random_coverage
 
 
 EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "docs/examples"
@@ -930,17 +930,18 @@ def test_rounded_mean_keeps_the_hoeffding_bound_at_20000_trials():
 
 
 def test_rounded_mean_is_the_mean_over_one_generator_seeded_seed_plus_one():
-    inst = Instance.load(str(EXAMPLES / "coverage_small.json"))
-    seed, trials = 5, 300
-    _, final = cli.run_fractional(inst, None, seed, trials, check=False)
-    st = FractionalState(inst.objective, inst.matroid, seed=seed)
-    for u in inst.arrival_order:
-        st.step(u)
-    values = [inst.objective.value(chosen) for chosen in st.roundings(seed + 1, trials)]
-    assert final["rounded_mean"] == statistics.fmean(values)
-    assert final["rounded_once"] == sorted(st.round_online())
-    _, once = cli.run_fractional(inst, None, seed, 1, check=False)
-    assert once["rounded_mean"] == inst.objective.value(st.round_with_seed(seed + 1))
+    seed = 5
+    for example, trials in (("coverage_small", 20000), ("coverage_wide", 2000)):
+        inst = Instance.load(str(EXAMPLES / f"{example}.json"))
+        _, final = cli.run_fractional(inst, None, seed, trials, check=False)
+        st = FractionalState(inst.objective, inst.matroid, seed=seed)
+        for u in inst.arrival_order:
+            st.step(u)
+        values = [inst.objective.value(chosen) for chosen in online_roundings(st, seed + 1, trials)]
+        assert final["rounded_mean"] == statistics.fmean(values), example
+        assert final["rounded_once"] == sorted(st.round_online())
+        _, once = cli.run_fractional(inst, None, seed, 1, check=False)
+        assert once["rounded_mean"] == inst.objective.value(st.round_with_seed(seed + 1))
 
 
 # -- trials ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ from subfree.matroid import PartitionMatroid
 from subfree.objective import Linear, WeightedCoverage, soft_value
 from subfree.oracle import brute_force_opt, random_coverage_objective
 
-from conftest import random_coverage
+from conftest import online_roundings, random_coverage
 
 
 def partition_for(elements, rng, max_parts=3, max_cap=2):
@@ -280,37 +280,105 @@ def test_round_online_respects_partition_feasibility():
 
 
 def _stepped_states():
-    """Random partition states after their streams, at several capacities."""
-    for trial in range(8):
+    """Random partition states after their streams, at several capacities,
+    then three edges: delta = 1/17, a part that no element arrives in, and
+    more than 64 live owners, so that an owner mask outgrows a machine word."""
+    for trial in range(10):
         rng = random.Random(80 + trial)
         f = random_coverage(rng, rng.randint(4, 9))
         order = sorted(f.elements())
         m = partition_for(order, rng, max_parts=3, max_cap=3)
-        st = FractionalState(f, m, delta=Fraction(1, 10), seed=trial)
+        if trial == 9:
+            m = PartitionMatroid(m.part_of, {"idle": 2, **m.capacity})
+        st = FractionalState(f, m, delta=Fraction(1, 17 if trial == 8 else 10), seed=trial)
         rng.shuffle(order)
         for u in order:
             st.step(u)
         yield st
+    yield _many_owners_state()
+
+
+def _many_owners_state():
+    """80 elements in the 100 slots of a part of capacity 2, each owning at
+    least one, and a second part of capacity 1."""
+    f = Linear({f"e{j}": 1 for j in range(81)})
+    m = PartitionMatroid({**{f"e{j}": "wide" for j in range(80)}, "e80": "one"},
+                         {"wide": 2, "one": 1})
+    st = FractionalState(f, m, delta=Fraction(1, 50))
+    for j in range(100):
+        st._append_unit(f"e{j % 80}", "wide", 1.0 + j % 7, [])
+    st._append_unit("e80", "one", 1.0, [])
+    assert len({unit.element for unit in st.live["wide"].values()}) == 80
+    return st
 
 
 def test_roundings_draw_in_order_from_one_generator():
-    varied = 0
+    varied = states = 0
     for st in _stepped_states():
+        states += 1
         for seed in (0, 11, 2**40 + 3):
-            rng = random.Random(seed)
-            expected = []
-            for _ in range(200):
-                # part by part in the matroid's order, cap points in (0, cap]
-                points = {l: [cap * (1.0 - rng.random()) for _ in range(cap)]
-                          for l, cap in st.matroid.capacity.items()}
-                expected.append(st.round_online(points))
+            expected = online_roundings(st, seed, 200)
             got = list(st.roundings(seed, 200))
             assert got == expected
             assert got[0] == st.round_with_seed(seed)
             assert all(st.matroid.is_independent(chosen) for chosen in got)
-            varied += len(set(got)) > 1
+            shared = {}
+            assert all(shared.setdefault(chosen, chosen) is chosen for chosen in got)
+            varied += len(shared) > 1
         assert list(st.roundings(5, 0)) == []
-    assert varied == 24  # no phase repeats one set: the states are not trivial
+    assert varied == 3 * states  # no phase repeats one set: the states are not trivial
+
+
+def test_a_phase_reads_the_live_state_it_starts_from():
+    f = Linear({"a": 1.0, "b": 5.0, "c": 2.0})
+    m = PartitionMatroid({"a": "p", "b": "p", "c": "q"}, {"p": 1, "q": 1})
+    st = FractionalState(f, m, delta=Fraction(1, 10))
+    owners = []
+    for u in "acb":
+        st.step(u)
+        owners.append({l: {s: unit.element for s, unit in units.items()}
+                       for l, units in st.live.items()})
+        assert list(st.roundings(3, 300)) == online_roundings(st, 3, 300)
+    assert owners[1] != owners[2]  # b's arrival drained units of a
+
+
+def test_roundings_match_round_online_at_slot_boundaries(monkeypatch):
+    """Chosen draws: r = 0, the largest r below 1, r = 1 and one ulp above it
+    (points at or below 0, clamped to slot 0), and each r whose point
+    cap * (1.0 - r) is an exact multiple of delta, with one ulp either side."""
+    draws: list = []
+
+    class ChosenRandom(random.Random):
+        def random(self):
+            return draws.pop(0)
+
+    states = [FractionalState(Linear({"a": 1}), PartitionMatroid({"a": "p"}, {"p": cap}),
+                              delta=Fraction(1, den))
+              for den in (10, 17, 25, 50) for cap in (1, 2, 3)]
+    monkeypatch.setattr(fractional.random, "Random", ChosenRandom)
+    for st in states:
+        cap, n = st.parts["p"], st.slots_per_part["p"]
+        st.live["p"] = {s: Unit(f"s{s}", s, 1.0, s) for s in range(n)}  # one owner per slot
+        d = float(st.delta)
+        rs = [0.0, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0)]
+        for j in range(1, n + 1):
+            r = 1.0 - j / n
+            for _ in range(4):
+                r = math.nextafter(r, 0.0)
+            for _ in range(9):
+                if cap * (1.0 - r) in (j * d, float(j * st.delta)):
+                    rs += [math.nextafter(r, 0.0), r, math.nextafter(r, 1.0)]
+                r = math.nextafter(r, 1.0)
+        assert len(rs) > 3 * n  # most multiples of delta are hit
+        rs += [0.0] * (-len(rs) % cap)  # whole trials
+        groups = [rs[i:i + cap] for i in range(0, len(rs), cap)]
+        draws[:] = rs
+        got = list(st.roundings(0, len(groups)))
+        assert not draws
+        for chosen, group in zip(got, groups):
+            points = [cap * (1.0 - r) for r in group]
+            assert chosen == st.round_online({"p": points}), group
+            assert chosen == {f"s{st.slot_of_point(t, 'p')}" for t in points}, group
 
 
 def test_a_rounding_phase_seeds_one_generator(monkeypatch):
