@@ -307,17 +307,18 @@ class UniformHardnessDriver(AdversaryDriver):
         p, q = self.epsilon.numerator, self.epsilon.denominator
         for i in range(1, self.phases + 1):
             w = q ** i * (q - p) ** (self.phases - i)  # cell_weight(i) in units
-            # step (a): 2k thin intervals tiling [i-1, i)
+            # step (a): 2k thin intervals tiling [i-1, i), each id kept as yielded
+            cells = []
             for j in range(1, 2 * k + 1):
                 el = self.cell_id(i, j)
+                cells.append(el)
                 item = len(f.universe_weight)
                 f.register(el, (item,), {item: w})
                 fresh = min(j, k - (i - 1))
                 self._opt = max(self._opt, self.kept_value + fresh * w)
                 visible = yield el
             # step (b): the union of the kept intervals
-            kept = [self.cell_id(i, j) for j in range(1, 2 * k + 1)
-                    if self.cell_id(i, j) in visible]
+            kept = [el for el in cells if el in visible]
             self.x.append(Fraction(len(kept), k))
             if not kept:
                 continue

@@ -15,9 +15,12 @@ weights, adding only their coins and slots.  The laws, each raising
 
 Weights are in the objective's ``unit`` (see the objective module).  Where
 a weight meets a float (the threshold, the replacement bound, a check's
-slack) the rules go through the state's ``as_float``, ``exceeds`` and
-``approx_gt``, so that every float and every decision is what the weights
-in original units give.
+slack) or a factor (c and c / (c - 1)), the rules go through the state's
+``as_float``, ``exceeds``, ``approx_gt`` and ``cut``, so that every float and
+every decision is what the weights in original units give.  The capacity
+rule computes its threshold, the threshold's integer cut and its checks that
+it fits the state once per accept (``_threshold``); the exchange rule
+compares an exact weight with c = p / q times another as p * w(v) > q * w(u).
 """
 
 from __future__ import annotations
@@ -102,11 +105,6 @@ class Decision:
         return self.w_u - self.w_evicted
 
 
-def _times(st: OnlineState, c, w):
-    """c * w for a weight w in units: a float c meets w's float value."""
-    return c * st.as_float(w) if isinstance(c, float) else c * w
-
-
 def _commit(st: OnlineState, d: Decision, view: str) -> None:
     """Apply an accepted proposal; under current weights f must strictly rise."""
     if view != CURRENT:
@@ -123,31 +121,21 @@ def _commit(st: OnlineState, d: Decision, view: str) -> None:
 # -- capacity rule for k-uniform constraints ---------------------------------
 
 
-def _threshold_quantity(st: OnlineState, alpha: AlphaConstant, view: str):
-    """alpha * W - rho * w(A), with W the members' weight total under the view.
+def _threshold(st: OnlineState, alpha: AlphaConstant, view: str):
+    """(key, quantity, threshold, cut) for this alpha and view on the state.
 
-    Cached on the state until the next accept, the only change to W and w(A).
+    The quantity is alpha * W - rho * w(A), with W the members' weight total
+    under the view; an arrival must clear threshold = quantity / capacity,
+    and an int weight in units clears it exactly when it exceeds the int
+    ``cut`` (None for a non-finite threshold, or once a weight that is not
+    an int has been accepted).  Cached on the state until the next accept,
+    the only change to W and w(A); a miss first checks that the rule fits
+    the state, so the checks too run once per accept.
     """
     key = (len(st.history), alpha, view)
-    cached = st.threshold_cache
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    # The result is a float either way; converting w(A) first spares reducing
-    # a large exact rational.
-    value = (alpha.value * st.as_float(st.weight_total(view))
-             - alpha.rho * st.as_float(st.w_A_total()))
-    st.threshold_cache = (key, value)
-    return value
-
-
-def propose_k_uniform(st: OnlineState, u: str, alpha: AlphaConstant,
-                      view: str = CURRENT) -> Decision:
-    """Accept iff w(u) clears (alpha * W - rho * w(A)) / capacity; evict the
-    member of minimal weight under the view when the set is full.
-
-    The deterministic rule runs current weights at rho = 1 and capacity k;
-    the randomized rule runs arrival weights at capacity rho * k.
-    """
+    entry = st.threshold_cache
+    if entry is not None and entry[0] == key:
+        return entry
     matroid = st.matroid
     if not isinstance(matroid, UniformMatroid):
         raise ValueError("the capacity rule needs a uniform matroid")
@@ -158,12 +146,32 @@ def propose_k_uniform(st: OnlineState, u: str, alpha: AlphaConstant,
         raise ValueError(
             f"constant solved for k={alpha.k}, rho={alpha.rho} does not fit k={matroid.k}"
         )
-    capacity = matroid.k
+    # The result is a float either way; converting w(A) first spares reducing
+    # a large exact rational.
+    w_A = st.w_A_total()
+    quantity = (alpha.value * st.as_float(st.weight_total(view))
+                - alpha.rho * st.as_float(w_A))
+    threshold = quantity / matroid.k
+    # the cut serves int weights, so it is taken while w(A) is an int sum
+    cut = st.cut(threshold) if type(w_A) is int else None
+    entry = st.threshold_cache = (key, quantity, threshold, cut)
+    return entry
+
+
+def propose_k_uniform(st: OnlineState, u: str, alpha: AlphaConstant,
+                      view: str = CURRENT) -> Decision:
+    """Accept iff w(u) clears (alpha * W - rho * w(A)) / capacity; evict the
+    member of minimal weight under the view when the set is full.
+
+    The deterministic rule runs current weights at rho = 1 and capacity k;
+    the randomized rule runs arrival weights at capacity rho * k.
+    """
+    _, _, threshold, cut = _threshold(st, alpha, view)
     w_u = st.w_arrival(u)
-    threshold = _threshold_quantity(st, alpha, view) / capacity
-    if not st.exceeds(w_u, threshold):
+    if not (w_u > cut if cut is not None and type(w_u) is int
+            else st.exceeds(w_u, threshold)):
         return Decision(u, False, w_u=w_u)
-    if len(st.feasible) == capacity:
+    if len(st.feasible) == st.matroid.k:
         worst = st.min_member(view=view)
         return Decision(u, True, evicted=worst, w_u=w_u,
                         w_evicted=st.member_weights(view)[worst])
@@ -177,13 +185,13 @@ def commit_k_uniform(st: OnlineState, d: Decision, alpha: AlphaConstant,
     if not d.accepted:
         return d
     factor = alpha.value / (alpha.value - alpha.rho)
-    bound = _times(st, factor, d.w_evicted)
+    bound = factor * st.as_float(d.w_evicted)
     if d.evicted is not None and not st.approx_gt(d.w_u, bound, CHECK_TOL):
         raise InvariantViolation(f"replacement bound failed: w(u)={st.unscaled(d.w_u)}"
-                                 f" vs {st.unscaled(bound)}")
-    before = _threshold_quantity(st, alpha, view)
+                                 f" vs {bound}")
+    before = _threshold(st, alpha, view)[1]
     _commit(st, d, view)
-    after = _threshold_quantity(st, alpha, view)
+    after = _threshold(st, alpha, view)[1]
     if not st.approx_gt(after, before, CHECK_TOL):
         raise InvariantViolation(f"threshold quantity decreased: {before} -> {after}")
     return d
@@ -196,12 +204,17 @@ def step_k_uniform(st: OnlineState, u: str, alpha: AlphaConstant) -> Decision:
 # -- exchange rule for general matroids ---------------------------------------
 
 
+def _check_c(c) -> None:
+    # comparing a Fraction with 1 builds rationals; its terms are ints
+    if not (c.numerator > c.denominator if type(c) is Fraction else c > 1):
+        raise ValueError("the exchange rule needs c > 1")
+
+
 def propose_general_matroid(st: OnlineState, u: str, c=2, view: str = CURRENT) -> Decision:
     """Free slots take any positive-weight arrival; otherwise the exchange
     candidate of minimal weight under the view is replaced when w(u) >= c
     times that weight."""
-    if not c > 1:
-        raise ValueError("the exchange rule needs c > 1")
+    _check_c(c)
     if view == CURRENT and not st.objective.monotone:
         raise ValueError("the exchange rule needs a monotone objective")
     w_u = st.w_arrival(u)
@@ -212,7 +225,7 @@ def propose_general_matroid(st: OnlineState, u: str, c=2, view: str = CURRENT) -
         return Decision(u, False, w_u=w_u)
     worst = st.min_member(swap, view)
     w_worst = st.member_weights(view)[worst]
-    if not st.exceeds(_times(st, c, w_worst), w_u):
+    if not st.exceeds(w_worst, w_u, times=c):
         return Decision(u, True, evicted=worst, w_u=w_u, w_evicted=w_worst)
     return Decision(u, False, w_u=w_u)
 
@@ -224,11 +237,11 @@ def commit_general_matroid(st: OnlineState, d: Decision, c=2,
     if not d.accepted:
         return d
     _commit(st, d, view)
-    history_cap = _times(st, c / (c - 1), st.w_arrival_over_S())
-    if not st.approx_gt(history_cap, st.w_A_total(), CHECK_TOL):
+    factor = c / (c - 1)
+    if not st.approx_gt(st.w_arrival_over_S(), st.w_A_total(), CHECK_TOL, times=factor):
         raise InvariantViolation(
             f"history bound failed: w(A)={st.unscaled(st.w_A_total())}"
-            f" vs {st.unscaled(history_cap)}"
+            f" vs {factor * st.unscaled(st.w_arrival_over_S())}"
         )
     return d
 
@@ -240,8 +253,7 @@ def step_general_matroid(st: OnlineState, u: str, c=2) -> Decision:
 def exchange_ratio(c=2) -> Fraction:
     """The fraction of the prefix optimum the exchange rule keeps after every
     arrival: 1 / (c / (c - 1) + c) = (c - 1) / c^2, exactly 1/4 at c = 2."""
-    if not c > 1:
-        raise ValueError("the exchange rule needs c > 1")
+    _check_c(c)
     return Fraction(c - 1) / Fraction(c) ** 2
 
 

@@ -60,14 +60,16 @@ Every oracle has a ``unit``, 1 unless a ``WeightedCoverage`` is built with
 another: its values are the true values times ``unit``, so exact weights
 sharing one denominator can be ints, whose sums and comparisons are cheap
 and stay exact.  Only the uniform hardness stream sets it.  Floats are
-always in original units, and ``unscaled``, ``as_float``, ``greater`` and
-``slack_floor`` are where a value in units meets them: ``as_float`` is the
-correctly rounded int/int division x / unit, the same float the exact
-original value gives, and ``greater`` compares a value in units with a
-float exactly, through the float's integer ratio.  With ``unit`` 1 each of
-them is the plain expression on the plain value.  The online state applies
-them with its objective's unit (see the tracker module), so the step rules
-never read it.
+always in original units, and ``unscaled``, ``as_float``, ``greater``,
+``greater_times``, ``floor_in_units`` and ``slack_floor`` are where a value
+in units meets them: ``as_float`` is the correctly rounded int/int division
+x / unit, the same float the exact original value gives, and ``greater``
+compares a value in units with a float exactly, through the float's integer
+ratio; ``greater_times`` does so for a multiple of the value, and
+``floor_in_units`` turns a float into the int that int values must exceed.
+With ``unit`` 1 each of them is the plain expression on the plain value.
+The online state applies them with its objective's unit (see the tracker
+module), so the step rules never read it.
 """
 
 from __future__ import annotations
@@ -124,6 +126,35 @@ def greater(a, b, unit: int = 1) -> bool:
             n, d = a.as_integer_ratio()
             return n * unit > b * d
     return a > b
+
+
+def greater_times(c, a, b, unit: int = 1) -> bool:
+    """c * a > b, decided exactly, for a factor c and a value a in units.
+
+    A float c meets a's float value.  An exact c = p / q and an exact a
+    compare without forming c * a: p * a > q * b, and against a finite
+    float b = n / d, p * a * d > q * n * unit, all in integers for int a.
+    """
+    if isinstance(c, float) or isinstance(a, float):
+        return greater(c * as_float(a, unit) if isinstance(c, float) else c * a, b, unit)
+    p, q = c.numerator, c.denominator
+    if isinstance(b, float) and math.isfinite(b):
+        n, d = b.as_integer_ratio()
+        return p * a * d > q * n * unit
+    return p * a > q * b
+
+
+def floor_in_units(b: float, unit: int = 1):
+    """floor(b * unit) for a finite float b in original units, else None.
+
+    An int a in units is greater than b exactly when it is greater than
+    this int, so a threshold's cut is computed once and each comparison
+    with an int weight is one integer comparison.
+    """
+    if not math.isfinite(b):
+        return None
+    n, d = b.as_integer_ratio()
+    return n * unit // d
 
 
 def slack_floor(b, slack: float, unit: int = 1) -> float:
@@ -268,14 +299,15 @@ class WeightedCoverage(Objective):
         nothing when it raises."""
         if el in self.covers:
             raise ObjectiveError(f"element {el!r} already registered")
-        for item in new_weights:
-            if item in self.universe_weight:
-                raise ObjectiveError(f"item {item!r} already exists")
+        if not self.universe_weight.keys().isdisjoint(new_weights):
+            item = next(i for i in new_weights if i in self.universe_weight)
+            raise ObjectiveError(f"item {item!r} already exists")
         _check_weights("item", new_weights)
         items = frozenset(items)
-        missing = items.difference(self.universe_weight).difference(new_weights)
-        if missing:
-            raise ObjectiveError(f"element {el!r} covers unknown items {sorted(missing)}")
+        if not new_weights.keys() >= items:  # else every item is new and known
+            missing = items.difference(self.universe_weight).difference(new_weights)
+            if missing:
+                raise ObjectiveError(f"element {el!r} covers unknown items {sorted(missing)}")
         self.universe_weight.update(new_weights)
         self.covers[el] = items
 
@@ -353,9 +385,9 @@ class _CoverageAccumulator(MarginalAccumulator):
 
     def marginal(self, u: str):
         f = self._f
-        return sum(
-            (f.universe_weight[i] for i in sorted(f.covers[u]) if i not in self._covered), f.zero
-        )
+        # the uncovered items in sorted order, as value() sums them
+        return sum(map(f.universe_weight.__getitem__, sorted(f.covers[u] - self._covered)),
+                   f.zero)
 
     def add(self, u: str) -> None:
         self._covered |= self._f.covers[u]

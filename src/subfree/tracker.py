@@ -28,9 +28,9 @@ module): on the uniform hardness stream they are ints over one common
 denominator.  ``f_S()`` divides the unit out and returns the exact original
 value; ``scaled_f_S()`` is the sum the state keeps, in units.  The state
 owns the boundary where a weight in units meets a float in original units:
-``as_float``, ``exceeds``, ``approx_gt`` and ``unscaled`` apply the objective
-module's helpers with its unit, so the rules never read the unit.  The
-no-decrease law compares each weight with its float floor the same way.
+``as_float``, ``exceeds``, ``approx_gt``, ``cut`` and ``unscaled`` apply the
+objective module's helpers with its unit, so the rules never read the unit.
+The no-decrease law compares each weight with its float floor the same way.
 
 Four more caches keep the rules' per-arrival work independent of |S|:
 
@@ -53,10 +53,15 @@ Four more caches keep the rules' per-arrival work independent of |S|:
   acceptance.  A query over candidates that are all of S (the exchange
   candidates on a full uniform matroid) reads the heap too; one over a
   proper subset keeps the scan.
-* ``threshold_cache`` holds one rule-computed quantity with its key.  Only
-  an accept changes the weights and totals the rules read, and only an
-  accept grows the history, so a key that holds ``len(history)`` stays
-  valid until the next accept.
+* ``threshold_cache`` holds one rule-computed entry with its key: the
+  capacity rule keeps its threshold there with the threshold's ``cut``, the
+  int that an int weight in units must exceed (see ``floor_in_units`` in the
+  objective module), and computes the entry only after checking that the
+  rule fits the state.  Only an accept changes the weights and totals the
+  rules read, and only an accept grows the history, so a key that holds
+  ``len(history)`` stays valid until the next accept: between accepts a
+  rejected arrival with an int weight costs its marginal and one integer
+  comparison.
 """
 
 from __future__ import annotations
@@ -65,7 +70,8 @@ import heapq
 from typing import Dict, FrozenSet, List, Optional
 
 from .matroid import Matroid
-from .objective import Objective, as_float, greater, slack_floor, unscaled
+from .objective import (Objective, as_float, floor_in_units, greater, greater_times,
+                        slack_floor, unscaled)
 
 WS_MONOTONE_TOL = 1e-9
 
@@ -201,13 +207,25 @@ class OnlineState:
         """The float nearest a value's original value."""
         return as_float(x, self.unit)
 
-    def exceeds(self, a, b) -> bool:
-        """a > b, decided exactly, each a value in units or a float."""
-        return greater(a, b, self.unit)
+    def exceeds(self, a, b, times=None) -> bool:
+        """a > b, or times * a > b, decided exactly, each a value in units or
+        a float."""
+        if times is None:
+            return greater(a, b, self.unit)
+        return greater_times(times, a, b, self.unit)
 
-    def approx_gt(self, a, b, slack: float) -> bool:
-        """a > b - slack * (1 + |b|), the slack taken in original units."""
-        return greater(a, slack_floor(b, slack, self.unit), self.unit)
+    def approx_gt(self, a, b, slack: float, times=None) -> bool:
+        """a > b - slack * (1 + |b|), the slack taken in original units (with
+        times * a for a, as ``exceeds`` takes it)."""
+        floor = slack_floor(b, slack, self.unit)
+        if times is None:
+            return greater(a, floor, self.unit)
+        return greater_times(times, a, floor, self.unit)
+
+    def cut(self, b):
+        """The int every int weight in units must exceed to exceed the float
+        b, or None for a non-finite b."""
+        return floor_in_units(b, self.unit)
 
     # -- the single mutation --------------------------------------------
 

@@ -13,6 +13,8 @@ from subfree.algorithms import (
     commit_k_uniform,
     dispatch_uniform,
     exchange_ratio,
+    propose_general_matroid,
+    propose_k_uniform,
     solve_alpha,
     step_best_singleton,
     step_general_matroid,
@@ -147,6 +149,81 @@ def test_monotone_rules_assert_monotone_flag():
     st2 = OnlineState(table, UniformMatroid(4))
     with pytest.raises(ValueError):
         step_general_matroid(st2, sorted(table.ground)[0])
+
+
+# The capacity rule checks that it fits the state when it computes the
+# state's threshold, which the state caches until its next accept: a failed
+# check caches nothing, and a cached threshold serves only the constant and
+# the view it was computed for.
+
+
+def raises_every_time(call, match):
+    for _ in range(2):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+def test_capacity_rule_refuses_a_non_uniform_matroid_on_every_arrival():
+    st = OnlineState(Linear({"a": 1, "b": 2}), PartitionMatroid({"a": "p", "b": "p"}, {"p": 4}))
+    for view in (CURRENT, ARRIVAL):
+        raises_every_time(lambda: propose_k_uniform(st, "a", solve_alpha(4), view),
+                          "uniform matroid")
+        raises_every_time(lambda: commit_k_uniform(st, Decision("a", True, w_u=1),
+                                                   solve_alpha(4), view), "uniform matroid")
+    assert st.threshold_cache is None and not st.history
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_capacity_rule_refuses_a_constant_for_another_k(cached):
+    st = linear_state({"a": 4, "b": 1, "c": 2}, 4)
+    alpha = solve_alpha(4)
+    if cached:
+        assert step_k_uniform(st, "a", alpha).accepted
+        entry = st.threshold_cache
+        assert entry[0] == (1, alpha, CURRENT)
+    for other, view in ((solve_alpha(5), CURRENT), (solve_alpha(5), ARRIVAL),
+                        (solve_alpha(4, rho=3), ARRIVAL)):
+        raises_every_time(lambda: propose_k_uniform(st, "b", other, view), "does not fit")
+        raises_every_time(lambda: step_k_uniform(st, "b", other), "does not fit")
+    if cached:
+        assert st.threshold_cache is entry
+    # b (weight 1) clears an empty state's threshold, not the one a (4) left
+    assert propose_k_uniform(st, "b", alpha).accepted is not cached
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_capacity_rule_refuses_a_non_monotone_objective_under_current_weights(cached):
+    table = random_submodular_table(random.Random(1), 5, monotone=False)
+    assert not table.monotone
+    st = OnlineState(table, UniformMatroid(12))
+    first, second = sorted(table.ground)[:2]
+    randomized = solve_alpha(4, rho=3)  # the randomized rule's constant at capacity 12
+    if cached:
+        propose_k_uniform(st, first, randomized, ARRIVAL)
+        assert st.threshold_cache[0] == (0, randomized, ARRIVAL)
+    raises_every_time(lambda: propose_k_uniform(st, second, solve_alpha(12)), "monotone")
+    raises_every_time(lambda: step_k_uniform(st, second, solve_alpha(12)), "monotone")
+    # the randomized rule's constant under current weights: monotone first
+    raises_every_time(lambda: propose_k_uniform(st, second, randomized), "monotone")
+    if cached:
+        assert st.threshold_cache[0] == (0, randomized, ARRIVAL)
+    propose_k_uniform(st, second, randomized, ARRIVAL)
+
+
+@pytest.mark.parametrize("c", [1, Fraction(1), Fraction(999, 1000), 0.5, 1.0, 0, -2,
+                               Fraction(-3, 2), math.nan])
+def test_exchange_rule_refuses_c_at_most_one(c):
+    st = OnlineState(Linear({"a": 1, "b": 5}), UniformMatroid(1))
+    st.accept("a")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="c > 1"):
+            propose_general_matroid(st, "b", c)
+        with pytest.raises(ValueError, match="c > 1"):
+            step_general_matroid(st, "b", c)
+        with pytest.raises(ValueError, match="c > 1"):
+            exchange_ratio(c)
+    for above in (Fraction(1001, 1000), 1.001, 2):
+        assert propose_general_matroid(st, "b", above).accepted
 
 
 def test_k_uniform_replacement_bound_on_random_runs():

@@ -19,6 +19,7 @@ the difference of.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from subfree.adversaries import UniformHardnessDriver, run_adversary
 from subfree.algorithms import (
     NonmonotoneGeneralRun,
     NonmonotoneUniformRun,
-    _threshold_quantity,
+    _threshold,
     solve_alpha,
     step_general_matroid,
     step_k_uniform,
@@ -43,7 +44,11 @@ from subfree.objective import (
     ObjectiveError,
     ThinnedCoverage,
     WeightedCoverage,
+    as_float,
     block_sampled_value,
+    floor_in_units,
+    greater,
+    greater_times,
     sampled_value_p,
     soft_marginal_rate,
     soft_value,
@@ -310,7 +315,7 @@ class HeapAudit:
         if a is not None:
             fresh = (a.value * unscaled(st.weight_total(self.view), st.unit)
                      - a.rho * float(unscaled(st.w_A_total(), st.unit)))
-            assert _threshold_quantity(st, a, self.view) == fresh
+            assert _threshold(st, a, self.view)[1] == fresh
         resum = sum(st.arrival_w[v] for v in sorted(st.feasible, key=st.acc_index.__getitem__))
         if not isinstance(resum, float):
             assert st._w_arrival_S_sum is not None
@@ -432,8 +437,8 @@ def test_uniform_stream_in_units_matches_fraction_weights(eps, delta, k, evicts,
         assert (Fraction(d.w_u, f.unit), Fraction(d.w_evicted, f.unit)) == (r.w_u, r.w_evicted)
         assert st.f_S() == ref.f_S() == Fraction(st.scaled_f_S(), f.unit)
         if rule == "capacity":
-            assert (_threshold_quantity(st, alpha, CURRENT)
-                    == _threshold_quantity(ref, alpha, CURRENT))
+            assert (_threshold(st, alpha, CURRENT)[1]
+                    == _threshold(ref, alpha, CURRENT)[1])
         ratios.append(ref.f_S() / driver.current_opt())
         evictions += d.evicted is not None
 
@@ -475,10 +480,68 @@ def test_rules_on_coverage_in_units_match_fraction_weights(rule):
             assert Fraction(st.w_arrival_over_S(), unit) == ref.w_arrival_over_S()
             assert Fraction(st.w_A_total(), unit) == ref.w_A_total()
             if rule == "capacity":
-                assert (_threshold_quantity(st, alpha, CURRENT)
-                        == _threshold_quantity(ref, alpha, CURRENT))
+                assert (_threshold(st, alpha, CURRENT)[1]
+                        == _threshold(ref, alpha, CURRENT)[1])
             evictions += d.evicted is not None
     assert evictions > 0
+
+
+# -- integer comparisons against a float threshold or an exact factor ------------------
+
+UNITS = [1, 200 * 19**40]  # plain weights, and the k=200 hardness stream's unit
+
+
+@st.composite
+def boundary_floats(draw):
+    """A float b for which b * unit is an int at both units (b = m / 2^j, j <= 3,
+    and 8 divides 200 * 19^40), or one ulp either side of it."""
+    j = draw(st.integers(0, 3))
+    b = draw(st.integers(-2**50, 2**50)) / 2**j
+    return draw(st.sampled_from([b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf)]))
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(UNITS),
+       st.one_of(boundary_floats(), st.floats(allow_nan=True, allow_infinity=True)),
+       st.integers(-10**60, 10**60), st.integers(-2, 2), st.booleans())
+def test_cut_decides_as_greater(unit, b, a, offset, near):
+    """The capacity rule's cached cut: an int a in units exceeds the float b
+    exactly when a > floor_in_units(b, unit); non-finite b has no cut and
+    keeps greater."""
+    cut = floor_in_units(b, unit)
+    if not math.isfinite(b):
+        assert cut is None
+        return
+    a = cut + offset if near else a
+    assert (a > cut) == greater(a, b, unit)
+    assert OnlineState(WeightedCoverage({}, {}, unit=unit), UniformMatroid(4)).cut(b) == cut
+
+
+def weights(unit):
+    """An int or a Fraction weight in units, or a float one in original units."""
+    ints = st.integers(0, 10**6).map(lambda n: n * unit // 6)
+    return st.one_of(ints, ints.map(lambda n: Fraction(n, 7)),
+                     ints.map(lambda n: as_float(n, unit)), st.floats(0, 1e6))
+
+
+def exchange_product(c, w, unit):
+    """c * w as the exchange rule formed it: a float c meets w's float value."""
+    return c * as_float(w, unit) if isinstance(c, float) else c * w
+
+
+@settings(max_examples=600)
+@given(st.sampled_from(UNITS), st.sampled_from([2, Fraction(3, 2), Fraction(7, 3), 2.5]),
+       st.data())
+def test_integer_exchange_comparison_matches_greater(unit, c, data):
+    """c * w > w_u cross-multiplied by c's denominator, against greater on
+    the product, with w_u anywhere or at the product and just either side."""
+    w = data.draw(weights(unit))
+    tie = exchange_product(c, w, unit)
+    near = ([tie, math.nextafter(tie, -math.inf), math.nextafter(tie, math.inf)]
+            if isinstance(tie, float) else [tie - 1, tie, tie + 1])
+    w_u = data.draw(st.one_of(weights(unit), st.sampled_from(near),
+                              st.floats(allow_nan=True, allow_infinity=True)))
+    assert greater_times(c, w, w_u, unit) == greater(tie, w_u, unit)
 
 
 # -- closed-form extensions on weighted coverage ---------------------------------------

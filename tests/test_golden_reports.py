@@ -6,6 +6,11 @@ Each report runs with ``--check-every-round`` where the example is small
 enough for the brute-force reference, and with ``--seed 3 --trials 20`` for
 the randomized rules.  Regenerate a report only for a deliberate report
 change, and say so in CHANGES.md.
+
+``golden/commands`` pins a few more commands the same way: the full round
+log of the k=20 uniform hardness stream under the capacity rule, and the
+exchange rule at a c that is not an integer (c = 3/2 and 5/2) on Fraction
+and int weights.
 """
 
 import contextlib
@@ -53,3 +58,30 @@ def test_every_golden_report_belongs_to_an_example_and_a_rule():
     names = {f"{p.stem}.{alg}.jsonl" for p in EXAMPLES for alg in ALGS}
     reports = {p.name for p in GOLDEN.glob("*.jsonl")}
     assert len(reports) == 15 and reports <= names
+
+
+COMMANDS = {
+    "adversary.uniform.k20.k-uniform": [
+        "adversary", "--family", "uniform", "--alpha", "3", "--eps", "0.05",
+        "--delta", "0.2", "--k", "20", "--alg", "k-uniform"],
+    **{f"interval_small.general.c{c}": [
+        "run", "--alg", "general", "--c", c, "--check-every-round",
+        "--instance", str(ROOT / "docs/examples/interval_small.json")] for c in ("1.5", "2.5")},
+    **{f"coverage_wide.general.c{c}": [
+        "run", "--alg", "general", "--c", c,
+        "--instance", str(ROOT / "docs/examples/coverage_wide.json")] for c in ("1.5", "2.5")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_command_output_matches_the_golden_log(name):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(COMMANDS[name])
+    assert (code, err.getvalue()) == (EXIT_OK, "")
+    assert out.getvalue() == (GOLDEN / "commands" / f"{name}.jsonl").read_text(encoding="utf-8")
+
+
+def test_every_golden_command_log_has_a_command():
+    logs = {p.stem for p in (GOLDEN / "commands").glob("*.jsonl")}
+    assert logs == set(COMMANDS)
