@@ -51,11 +51,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Generator, List, Optional
 
+from .algorithms import solve_alpha
 from .matroid import PartitionMatroid, UniformMatroid
 from .objective import FLOAT_MAX, WeightedCoverage, unscaled
 from .tracker import InvariantViolation, OnlineState
 
-ALPHA_INF = 3.14619  # only used for range warnings
+ALPHA_INF = solve_alpha("inf").value  # only used for range warnings
 PHASE_CAP = 400
 
 
@@ -272,7 +273,7 @@ class UniformHardnessDriver(AdversaryDriver):
             raise ValueError("epsilon and delta must lie in (0, 1)")
         if not 1 <= self.alpha or float(self.alpha) >= ALPHA_INF:
             self.range_warning = (
-                f"alpha={alpha} outside [1, {ALPHA_INF}); no forced-failure guarantee"
+                f"alpha={alpha} outside [1, {ALPHA_INF:.5f}); no forced-failure guarantee"
             )
         self.phases = int(self.delta * self.k)
         if self.phases < 1:

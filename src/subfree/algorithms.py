@@ -4,8 +4,10 @@ Each threshold rule is a ``propose_*``, which says what an arrival would do
 and changes nothing, and a ``commit_*``, which applies a proposal and checks
 the rule's laws only when the state changes; ``step_*`` is commit(propose).
 The bipartite composition commits the winning agent's proposal, and the
-randomized rules for non-monotone objectives run the same pair on arrival
-weights, adding only their coins and slots.  The laws, each raising
+randomized rules for non-monotone objectives run the same pair on a state
+built under arrival weights, adding only their coins and slots.  A rule
+ranks and sums members under the state's weight view (see the tracker
+module) and takes no view of its own.  The laws, each raising
 ``InvariantViolation`` when broken rather than degrading silently:
 
 * capacity rule: a replacement's arrival weight clears the documented factor
@@ -105,9 +107,9 @@ class Decision:
         return self.w_u - self.w_evicted
 
 
-def _commit(st: OnlineState, d: Decision, view: str) -> None:
+def _commit(st: OnlineState, d: Decision) -> None:
     """Apply an accepted proposal; under current weights f must strictly rise."""
-    if view != CURRENT:
+    if st.view != CURRENT:
         st.accept(d.element, evict=d.evicted)
         return
     f_before = st.scaled_f_S()
@@ -121,35 +123,35 @@ def _commit(st: OnlineState, d: Decision, view: str) -> None:
 # -- capacity rule for k-uniform constraints ---------------------------------
 
 
-def _threshold(st: OnlineState, alpha: AlphaConstant, view: str):
-    """(key, quantity, threshold, cut) for this alpha and view on the state.
+def _threshold(st: OnlineState, alpha: AlphaConstant):
+    """(key, quantity, threshold, cut) for this alpha on the state.
 
     The quantity is alpha * W - rho * w(A), with W the members' weight total
-    under the view; an arrival must clear threshold = quantity / capacity,
-    and an int weight in units clears it exactly when it exceeds the int
-    ``cut`` (None for a non-finite threshold, or once a weight that is not
-    an int has been accepted).  Cached on the state until the next accept,
-    the only change to W and w(A); a miss first checks that the rule fits
-    the state, so the checks too run once per accept.
+    under the state's view; an arrival must clear threshold = quantity /
+    capacity, and an int weight in units clears it exactly when it exceeds
+    the int ``cut`` (None for a non-finite threshold, or once a weight that
+    is not an int has been accepted).  Cached on the state until the next
+    accept, the only change to W and w(A); a miss first checks that the rule
+    fits the state, so the checks too run once per accept.
     """
-    key = (len(st.history), alpha, view)
+    key = (len(st.history), alpha)
     entry = st.threshold_cache
     if entry is not None and entry[0] == key:
         return entry
     matroid = st.matroid
     if not isinstance(matroid, UniformMatroid):
         raise ValueError("the capacity rule needs a uniform matroid")
-    if view == CURRENT and not st.objective.monotone:
+    if st.view == CURRENT and not st.objective.monotone:
         raise ValueError("the capacity rule needs a monotone objective")
     if (alpha.k * alpha.rho != matroid.k
-            or (view == CURRENT and (matroid.k < 4 or alpha.rho != 1))):
+            or (st.view == CURRENT and (matroid.k < 4 or alpha.rho != 1))):
         raise ValueError(
             f"constant solved for k={alpha.k}, rho={alpha.rho} does not fit k={matroid.k}"
         )
     # The result is a float either way; converting w(A) first spares reducing
     # a large exact rational.
     w_A = st.w_A_total()
-    quantity = (alpha.value * st.as_float(st.weight_total(view))
+    quantity = (alpha.value * st.as_float(st.weight_total())
                 - alpha.rho * st.as_float(w_A))
     threshold = quantity / matroid.k
     # the cut serves int weights, so it is taken while w(A) is an int sum
@@ -158,28 +160,26 @@ def _threshold(st: OnlineState, alpha: AlphaConstant, view: str):
     return entry
 
 
-def propose_k_uniform(st: OnlineState, u: str, alpha: AlphaConstant,
-                      view: str = CURRENT) -> Decision:
+def propose_k_uniform(st: OnlineState, u: str, alpha: AlphaConstant) -> Decision:
     """Accept iff w(u) clears (alpha * W - rho * w(A)) / capacity; evict the
-    member of minimal weight under the view when the set is full.
+    member of minimal weight when the set is full.
 
     The deterministic rule runs current weights at rho = 1 and capacity k;
     the randomized rule runs arrival weights at capacity rho * k.
     """
-    _, _, threshold, cut = _threshold(st, alpha, view)
+    _, _, threshold, cut = _threshold(st, alpha)
     w_u = st.w_arrival(u)
     if not (w_u > cut if cut is not None and type(w_u) is int
             else st.exceeds(w_u, threshold)):
         return Decision(u, False, w_u=w_u)
     if len(st.feasible) == st.matroid.k:
-        worst = st.min_member(view=view)
+        worst = st.min_member()
         return Decision(u, True, evicted=worst, w_u=w_u,
-                        w_evicted=st.member_weights(view)[worst])
+                        w_evicted=st.member_weights()[worst])
     return Decision(u, True, w_u=w_u)
 
 
-def commit_k_uniform(st: OnlineState, d: Decision, alpha: AlphaConstant,
-                     view: str = CURRENT) -> Decision:
+def commit_k_uniform(st: OnlineState, d: Decision, alpha: AlphaConstant) -> Decision:
     """Apply a capacity-rule proposal; an accept checks that w(u) clears alpha /
     (alpha - rho) times any evicted weight, then that the threshold did not drop."""
     if not d.accepted:
@@ -189,9 +189,9 @@ def commit_k_uniform(st: OnlineState, d: Decision, alpha: AlphaConstant,
     if d.evicted is not None and not st.approx_gt(d.w_u, bound, CHECK_TOL):
         raise InvariantViolation(f"replacement bound failed: w(u)={st.unscaled(d.w_u)}"
                                  f" vs {bound}")
-    before = _threshold(st, alpha, view)[1]
-    _commit(st, d, view)
-    after = _threshold(st, alpha, view)[1]
+    before = _threshold(st, alpha)[1]
+    _commit(st, d)
+    after = _threshold(st, alpha)[1]
     if not st.approx_gt(after, before, CHECK_TOL):
         raise InvariantViolation(f"threshold quantity decreased: {before} -> {after}")
     return d
@@ -210,12 +210,11 @@ def _check_c(c) -> None:
         raise ValueError("the exchange rule needs c > 1")
 
 
-def propose_general_matroid(st: OnlineState, u: str, c=2, view: str = CURRENT) -> Decision:
+def propose_general_matroid(st: OnlineState, u: str, c=2) -> Decision:
     """Free slots take any positive-weight arrival; otherwise the exchange
-    candidate of minimal weight under the view is replaced when w(u) >= c
-    times that weight."""
+    candidate of minimal weight is replaced when w(u) >= c times that weight."""
     _check_c(c)
-    if view == CURRENT and not st.objective.monotone:
+    if st.view == CURRENT and not st.objective.monotone:
         raise ValueError("the exchange rule needs a monotone objective")
     w_u = st.w_arrival(u)
     if st.occupancy.can_add(u):
@@ -223,20 +222,19 @@ def propose_general_matroid(st: OnlineState, u: str, c=2, view: str = CURRENT) -
     swap = st.occupancy.exchange_set(u)
     if not swap:
         return Decision(u, False, w_u=w_u)
-    worst = st.min_member(swap, view)
-    w_worst = st.member_weights(view)[worst]
+    worst = st.min_member(swap)
+    w_worst = st.member_weights()[worst]
     if not st.exceeds(w_worst, w_u, times=c):
         return Decision(u, True, evicted=worst, w_u=w_u, w_evicted=w_worst)
     return Decision(u, False, w_u=w_u)
 
 
-def commit_general_matroid(st: OnlineState, d: Decision, c=2,
-                           view: str = CURRENT) -> Decision:
+def commit_general_matroid(st: OnlineState, d: Decision, c=2) -> Decision:
     """Apply an exchange-rule proposal; an accept checks the history bound
     w(A) <= c / (c - 1) * w(S), in arrival weights."""
     if not d.accepted:
         return d
-    _commit(st, d, view)
+    _commit(st, d)
     factor = c / (c - 1)
     if not st.approx_gt(st.w_arrival_over_S(), st.w_A_total(), CHECK_TOL, times=factor):
         raise InvariantViolation(
@@ -275,7 +273,7 @@ def propose_best_singleton(st: OnlineState, u: str) -> Decision:
 def step_best_singleton(st: OnlineState, u: str) -> Decision:
     d = propose_best_singleton(st, u)
     if d.accepted:
-        _commit(st, d, CURRENT)
+        _commit(st, d)
     return d
 
 
@@ -350,15 +348,13 @@ class NonmonotoneGeneralRun:
                  coin: Optional[Callable[[], int]] = None):
         self.f = objective
         self.g = objective.thinned(0.5)
-        self.state = OnlineState(self.g, matroid)
+        self.state = OnlineState(self.g, matroid, ARRIVAL)
         self._rng = random.Random(seed)
         self.coin = coin or (lambda: self._rng.getrandbits(1))
         self.coins: Dict[str, int] = {}
 
     def step(self, u: str) -> Decision:
-        d = commit_general_matroid(
-            self.state, propose_general_matroid(self.state, u, view=ARRIVAL), view=ARRIVAL
-        )
+        d = commit_general_matroid(self.state, propose_general_matroid(self.state, u))
         if d.accepted:
             self.coins[u] = self.coin()
         return d
@@ -395,15 +391,14 @@ class NonmonotoneUniformRun:
         self.rho = rho = 3
         self.alpha = solve_alpha(k, rho=rho)
         self.g = objective.thinned(1.0 / rho)
-        self.state = OnlineState(self.g, UniformMatroid(rho * k))
+        self.state = OnlineState(self.g, UniformMatroid(rho * k), ARRIVAL)
         self.slot_of: dict = {}
         self._free: List[int] = list(range(rho * k - 1, -1, -1))  # pop() yields lowest
         self.block_choice = self._draw_blocks(seed)
 
     def step(self, u: str) -> Decision:
         st = self.state
-        d = commit_k_uniform(st, propose_k_uniform(st, u, self.alpha, view=ARRIVAL),
-                             self.alpha, ARRIVAL)
+        d = commit_k_uniform(st, propose_k_uniform(st, u, self.alpha), self.alpha)
         if d.accepted:
             self.slot_of[u] = (self.slot_of.pop(d.evicted) if d.evicted is not None
                                else self._free.pop())

@@ -440,12 +440,11 @@ def run_fractional(instance: Instance, delta, seed: int, trials: int,
     def play(i, u, opt):
         state.step(u)
         fhat = state.soft_value_live()
-        max_w = max(state._max_unit_w.values(), default=0.0)
-        slack = state.alpha * float(state.delta) * max_w * len(state.parts)
+        slack = max(map(state.unit_slack, state.parts), default=0.0) * len(state.parts)
         return {"record": "round", "round": i, "element": u,
                 "soft_value": to_jsonable(fhat), "opt_prefix": to_jsonable(opt)}, fhat + slack
 
-    records, opt = _replay(instance, check, play, 1 / 3.15, "fractional per-round ratio")
+    records, opt = _replay(instance, check, play, 1 / state.alpha, "fractional per-round ratio")
     rounded_mean = _trial_mean(instance.objective, state.roundings(seed + 1, trials))
     final = {
         "record": "final",
@@ -564,8 +563,6 @@ def _cmd_run_inner(instance, args, seed, check, alg, out) -> int:
     params: Dict[str, object] = {}
     if args.c is not None and alg not in ("general", "bipartite"):
         raise InstanceError(f"--c applies to --alg general and bipartite, not {alg}")
-    if args.k is not None and alg != "k-uniform":
-        raise InstanceError(f"--k applies to --alg k-uniform, not {alg}")
     c = _exact("2" if args.c is None else args.c)
     if alg != "bipartite" and instance.agents:
         raise InstanceError(f"{alg} needs an objective and a matroid, not an agents list")
@@ -573,8 +570,6 @@ def _cmd_run_inner(instance, args, seed, check, alg, out) -> int:
         if not isinstance(instance.matroid, UniformMatroid):
             raise InstanceError("k-uniform needs a uniform matroid")
         k = instance.matroid.k
-        if args.k is not None and args.k != k:
-            raise InstanceError(f"--k {args.k} does not match the instance (k={k})")
         params = {"k": k, "routed": "best-singleton" if k <= 3 else "capacity-rule"}
     elif alg in ("general", "bipartite"):
         params = {"c": float(c)}
@@ -756,7 +751,6 @@ def build_parser() -> argparse.ArgumentParser:
     ])
     run.add_argument("--instance", required=True)
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--k", type=int, default=None)
     run.add_argument("--c", default=None, help="the exchange rule's c > 1 (default 2)")
     run.add_argument("--delta", default="0.02")
     run.add_argument("--check-every-round", action="store_true")

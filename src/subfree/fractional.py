@@ -102,9 +102,6 @@ class FractionalState:
     def history_masses(self) -> Dict[str, float]:
         return dict(self._hist_mass)
 
-    def live_masses(self) -> Dict[str, float]:
-        return dict(self._live_mass)
-
     def soft_value_live(self):
         return self.objective.soft_value(self._live_mass)
 
@@ -117,6 +114,11 @@ class FractionalState:
 
     def part_threshold(self, part: str) -> float:
         return (self.alpha * self.w_live[part] - self.w_hist[part]) / self.parts[part]
+
+    def unit_slack(self, part: str) -> float:
+        """alpha * delta * the largest unit weight so far in the part: how far
+        one unit of mass may lower its threshold quantity alpha * w_live - w_hist."""
+        return self.alpha * self._max_unit_w[part] * float(self.delta)
 
     # -- the arrival loop ---------------------------------------------------
 
@@ -140,7 +142,7 @@ class FractionalState:
                 self._evict_weakest(part, trace)
             self._append_unit(u, part, rate, trace)
             g_after = self.alpha * self.w_live[part] - self.w_hist[part]
-            slack = self.alpha * self._max_unit_w[part] * float(self.delta)
+            slack = self.unit_slack(part)
             if g_after < g_before - slack - THRESHOLD_TOL * (1 + abs(g_before)):
                 raise InvariantViolation(
                     f"part {part!r} threshold fell beyond the unit slack: "

@@ -21,7 +21,6 @@ the arriving element's part.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional
 
 MAX_ENUM_GROUND = 20
@@ -282,10 +281,3 @@ class PartitionOccupancy(Occupancy):
             return self.held
         # u's part is full; only a member of that part makes room
         return frozenset(in_part)
-
-
-def uniform_as_explicit(k: int, ground: Iterable[str]) -> ExplicitMatroid:
-    """Materialize a small uniform matroid as an explicit family (test helper)."""
-    ground = sorted(set(ground))
-    k = min(k, len(ground))
-    return ExplicitMatroid(ground, [frozenset(c) for c in combinations(ground, k)])

@@ -32,6 +32,11 @@ owns the boundary where a weight in units meets a float in original units:
 objective module's helpers with its unit, so the rules never read the unit.
 The no-decrease law compares each weight with its float floor the same way.
 
+Each state is read under one weight view, fixed when it is built: current
+weights (the default) for the deterministic rules and the bipartite agents,
+arrival weights for the randomized rules.  ``min_member``,
+``member_weights`` and ``weight_total`` rank and sum the members under it.
+
 Four more caches keep the rules' per-arrival work independent of |S|:
 
 * ``occupancy`` is the matroid's record of S (see the matroid module),
@@ -45,14 +50,14 @@ Four more caches keep the rules' per-arrival work independent of |S|:
   (``frozenset(state.feasible)`` is the same object) and it never changes
   under the caller.
 * ``min_member`` over the whole set reads a lazy min-heap of
-  (weight, acceptance index, member) per weight view, built on the first
-  such query.  An accept pushes the new member and each weight the keeper
-  reports; a query pops tops whose member has left S or whose weight is no
-  longer current, and a heap of more than 2|S| entries is rebuilt from the
-  members.  The key is the scan's, so ties still go to the earliest
-  acceptance.  A query over candidates that are all of S (the exchange
-  candidates on a full uniform matroid) reads the heap too; one over a
-  proper subset keeps the scan.
+  (weight, acceptance index, member) under the state's view, built on the
+  first such query.  An accept pushes the new member and, under current
+  weights, each weight the keeper reports; a query pops tops whose member
+  has left S or whose weight is no longer current, and a heap of more than
+  2|S| entries is rebuilt from the members.  The key is the scan's, so ties
+  still go to the earliest acceptance.  A query over candidates that are all
+  of S (the exchange candidates on a full uniform matroid) reads the heap
+  too; one over a proper subset keeps the scan.
 * ``threshold_cache`` holds one rule-computed entry with its key: the
   capacity rule keeps its threshold there with the threshold's ``cut``, the
   int that an int weight in units must exceed (see ``floor_in_units`` in the
@@ -75,8 +80,7 @@ from .objective import (Objective, as_float, floor_in_units, greater, greater_ti
 
 WS_MONOTONE_TOL = 1e-9
 
-# Weight views the rules rank and sum members by: current weights for the
-# deterministic rules, arrival weights for the randomized ones.
+# The weight views a state ranks and sums its members by (see above).
 CURRENT = "current"
 ARRIVAL = "arrival"
 
@@ -90,7 +94,10 @@ class InvariantViolation(AssertionError):
 
 
 class OnlineState:
-    def __init__(self, objective: Objective, matroid: Matroid):
+    def __init__(self, objective: Objective, matroid: Matroid, view: str = CURRENT):
+        if view not in (CURRENT, ARRIVAL):
+            raise ValueError(f"unknown weight view {view!r}")
+        self.view = view
         self.objective = objective
         self.matroid = matroid
         self.unit = objective.unit
@@ -107,7 +114,7 @@ class OnlineState:
         self._acc = objective.accumulator()
         self._keeper = objective.current_weights()
         self.occupancy = matroid.occupancy()  # accept is its one writer
-        self._heaps: Dict[str, list] = {}  # view -> lazy min-heap (see module docstring)
+        self._heap: Optional[list] = None  # lazy min-heap (see module docstring)
         self.threshold_cache = None  # (key holding len(history), value)
 
     # -- weight queries -------------------------------------------------
@@ -129,9 +136,6 @@ class OnlineState:
             raise TrackerError(f"element {u!r} is unknown to the history")
         return self.objective.marginal(u, self._prefix_in_S(u))
 
-    def w_S_total(self):
-        return self._w_S_sum
-
     def w_A_total(self):
         return self._w_A_sum
 
@@ -145,13 +149,13 @@ class OnlineState:
             )
         return self._w_arrival_S_sum
 
-    def member_weights(self, view: str = CURRENT) -> Dict[str, object]:
-        """Weight of each member under a view (may hold evicted elements too)."""
-        return self.arrival_w if view == ARRIVAL else self._ws
+    def member_weights(self) -> Dict[str, object]:
+        """Weight of each member under the view (may hold evicted elements too)."""
+        return self.arrival_w if self.view == ARRIVAL else self._ws
 
-    def weight_total(self, view: str = CURRENT):
-        """Sum of the members' weights under a view: w(S) or w_S(S)."""
-        return self.w_arrival_over_S() if view == ARRIVAL else self._w_S_sum
+    def weight_total(self):
+        """Sum of the members' weights under the view: w(S) or w_S(S)."""
+        return self.w_arrival_over_S() if self.view == ARRIVAL else self._w_S_sum
 
     def f_S(self):
         """f(S) in original units."""
@@ -169,16 +173,16 @@ class OnlineState:
             return self.frozen_w[u]
         raise TrackerError(f"element {u!r} was never accepted")
 
-    def min_member(self, candidates=None, view: str = CURRENT):
-        """Member of minimal weight under a view; earliest acceptance on ties."""
-        weights = self.member_weights(view)
+    def min_member(self, candidates=None):
+        """Member of minimal weight under the view; earliest acceptance on ties."""
+        weights = self.member_weights()
         if candidates is not None and not (candidates is self.feasible
                                            or candidates == self.feasible):
             return min(candidates, key=lambda v: (weights[v], self.acc_index[v]),
                        default=None)
-        heap = self._heaps.get(view)
+        heap = self._heap
         if heap is None:
-            heap = self._heaps[view] = self._live_heap(view)
+            heap = self._heap = self._live_heap()
         while heap:
             w, _, v = heap[0]
             if v in self.feasible and weights[v] == w:
@@ -186,16 +190,15 @@ class OnlineState:
             heapq.heappop(heap)
         return None
 
-    def _live_heap(self, view: str) -> list:
-        weights = self.member_weights(view)
+    def _live_heap(self) -> list:
+        weights = self.member_weights()
         heap = [(weights[v], self.acc_index[v], v) for v in self.feasible]
         heapq.heapify(heap)
         return heap
 
-    def _push(self, view: str, v: str, w) -> None:
-        heap = self._heaps.get(view)
-        if heap is not None:
-            heapq.heappush(heap, (w, self.acc_index[v], v))
+    def _push(self, v: str, w) -> None:
+        if self._heap is not None:
+            heapq.heappush(self._heap, (w, self.acc_index[v], v))
 
     # -- where a value in units meets a float in original units -------
 
@@ -256,7 +259,8 @@ class OnlineState:
                     )
                 self._ws[v] = new
                 self._w_S_sum += new - old
-                self._push(CURRENT, v, new)
+                if self.view == CURRENT:
+                    self._push(v, new)
 
         w_u = self._acc.marginal(u)
         self.acc_index[u] = len(self.history)
@@ -271,8 +275,6 @@ class OnlineState:
         self.feasible = self.occupancy.held
         ws_u = self._ws[u] = self._keeper.add(u)
         self._w_S_sum += ws_u
-        self._push(CURRENT, u, ws_u)
-        self._push(ARRIVAL, u, w_u)
-        for view, heap in self._heaps.items():
-            if len(heap) > 2 * len(self.feasible):
-                self._heaps[view] = self._live_heap(view)
+        self._push(u, w_u if self.view == ARRIVAL else ws_u)
+        if self._heap is not None and len(self._heap) > 2 * len(self.feasible):
+            self._heap = self._live_heap()

@@ -89,7 +89,7 @@ class RunAudit:
             # cached weight sums agree with the oracle and with each other
             direct = f.value(frozenset(st.feasible))
             assert abs(f_now - direct) <= RATIO_TOL * (1 + abs(direct))
-            assert st.w_arrival_over_S() <= st.w_S_total() + RATIO_TOL
+            assert st.w_arrival_over_S() <= st.weight_total() + RATIO_TOL
             # guaranteed per-prefix ratio
             margin = f_now - ratio * opts[i]
             self.worst_margin = min(self.worst_margin, margin)
@@ -105,7 +105,7 @@ class RunAudit:
             f_last = f_now
             # monotone threshold quantity for the capacity rule
             if alpha_value is not None:
-                q = alpha_value * st.w_S_total() - st.w_A_total()
+                q = alpha_value * st.weight_total() - st.w_A_total()
                 assert threshold_last is None or q >= threshold_last - RATIO_TOL
                 assert q >= -RATIO_TOL
                 threshold_last = q
@@ -225,9 +225,8 @@ def test_criterion_5_fractional_and_rounding():
                 st.step(u)
             _, opt = brute_force_opt(f, m, ground)
             fhat = st.soft_value_live()
-            max_w = max(st._max_unit_w.values(), default=0.0)
-            slack = alpha * float(st.delta) * max_w * len(st.parts)
-            assert fhat >= opt / 3.15 - slack - RATIO_TOL
+            slack = max(map(st.unit_slack, st.parts)) * len(st.parts)
+            assert fhat >= opt / alpha - slack - RATIO_TOL
             n = 10_000
             vals = [f.value(st.round_with_seed(s)) for s in range(n)]
             mean = statistics.fmean(vals)

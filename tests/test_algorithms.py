@@ -79,8 +79,8 @@ def test_alpha_invalid_inputs():
 # -- capacity rule -------------------------------------------------------------
 
 
-def linear_state(weights, k):
-    return OnlineState(Linear(weights), UniformMatroid(k))
+def linear_state(weights, k, view=CURRENT):
+    return OnlineState(Linear(weights), UniformMatroid(k), view)
 
 
 def test_k_uniform_first_arrival_accepted():
@@ -153,8 +153,8 @@ def test_monotone_rules_assert_monotone_flag():
 
 # The capacity rule checks that it fits the state when it computes the
 # state's threshold, which the state caches until its next accept: a failed
-# check caches nothing, and a cached threshold serves only the constant and
-# the view it was computed for.
+# check caches nothing, and a cached threshold serves only the constant it
+# was computed for.
 
 
 def raises_every_time(call, match):
@@ -164,31 +164,36 @@ def raises_every_time(call, match):
 
 
 def test_capacity_rule_refuses_a_non_uniform_matroid_on_every_arrival():
-    st = OnlineState(Linear({"a": 1, "b": 2}), PartitionMatroid({"a": "p", "b": "p"}, {"p": 4}))
     for view in (CURRENT, ARRIVAL):
-        raises_every_time(lambda: propose_k_uniform(st, "a", solve_alpha(4), view),
-                          "uniform matroid")
+        st = OnlineState(Linear({"a": 1, "b": 2}),
+                         PartitionMatroid({"a": "p", "b": "p"}, {"p": 4}), view)
+        raises_every_time(lambda: propose_k_uniform(st, "a", solve_alpha(4)), "uniform matroid")
         raises_every_time(lambda: commit_k_uniform(st, Decision("a", True, w_u=1),
-                                                   solve_alpha(4), view), "uniform matroid")
-    assert st.threshold_cache is None and not st.history
+                                                   solve_alpha(4)), "uniform matroid")
+        assert st.threshold_cache is None and not st.history
 
 
 @pytest.mark.parametrize("cached", [False, True])
 def test_capacity_rule_refuses_a_constant_for_another_k(cached):
-    st = linear_state({"a": 4, "b": 1, "c": 2}, 4)
     alpha = solve_alpha(4)
-    if cached:
-        assert step_k_uniform(st, "a", alpha).accepted
-        entry = st.threshold_cache
-        assert entry[0] == (1, alpha, CURRENT)
-    for other, view in ((solve_alpha(5), CURRENT), (solve_alpha(5), ARRIVAL),
-                        (solve_alpha(4, rho=3), ARRIVAL)):
-        raises_every_time(lambda: propose_k_uniform(st, "b", other, view), "does not fit")
-        raises_every_time(lambda: step_k_uniform(st, "b", other), "does not fit")
-    if cached:
-        assert st.threshold_cache is entry
-    # b (weight 1) clears an empty state's threshold, not the one a (4) left
-    assert propose_k_uniform(st, "b", alpha).accepted is not cached
+    for view in (CURRENT, ARRIVAL):
+        st = linear_state({"a": 4, "b": 1, "c": 2}, 4, view)
+        if cached:
+            assert step_k_uniform(st, "a", alpha).accepted
+            entry = st.threshold_cache
+            assert entry[0] == (1, alpha)
+        for other in (solve_alpha(5), solve_alpha(4, rho=3)):
+            raises_every_time(lambda: propose_k_uniform(st, "b", other), "does not fit")
+            raises_every_time(lambda: step_k_uniform(st, "b", other), "does not fit")
+        if cached:
+            assert st.threshold_cache is entry
+        # b (weight 1) clears an empty state's threshold, not the one a (4) left
+        assert propose_k_uniform(st, "b", alpha).accepted is not cached
+    # current weights take rho = 1 only; arrival weights take rho * k = capacity
+    randomized = solve_alpha(4, rho=3)
+    raises_every_time(lambda: propose_k_uniform(linear_state({"a": 1}, 12), "a", randomized),
+                      "does not fit")
+    assert propose_k_uniform(linear_state({"a": 1}, 12, ARRIVAL), "a", randomized).accepted
 
 
 @pytest.mark.parametrize("cached", [False, True])
@@ -196,18 +201,21 @@ def test_capacity_rule_refuses_a_non_monotone_objective_under_current_weights(ca
     table = random_submodular_table(random.Random(1), 5, monotone=False)
     assert not table.monotone
     st = OnlineState(table, UniformMatroid(12))
+    arrival = OnlineState(table, UniformMatroid(12), ARRIVAL)
     first, second = sorted(table.ground)[:2]
     randomized = solve_alpha(4, rho=3)  # the randomized rule's constant at capacity 12
     if cached:
-        propose_k_uniform(st, first, randomized, ARRIVAL)
-        assert st.threshold_cache[0] == (0, randomized, ARRIVAL)
+        # the current-view state gets a history, the arrival-view one a cached entry
+        st.accept(first)
+        propose_k_uniform(arrival, first, randomized)
+        assert arrival.threshold_cache[0] == (0, randomized)
     raises_every_time(lambda: propose_k_uniform(st, second, solve_alpha(12)), "monotone")
     raises_every_time(lambda: step_k_uniform(st, second, solve_alpha(12)), "monotone")
     # the randomized rule's constant under current weights: monotone first
     raises_every_time(lambda: propose_k_uniform(st, second, randomized), "monotone")
-    if cached:
-        assert st.threshold_cache[0] == (0, randomized, ARRIVAL)
-    propose_k_uniform(st, second, randomized, ARRIVAL)
+    assert st.threshold_cache is None
+    propose_k_uniform(arrival, second, randomized)
+    assert arrival.threshold_cache[0] == (0, randomized)
 
 
 @pytest.mark.parametrize("c", [1, Fraction(1), Fraction(999, 1000), 0.5, 1.0, 0, -2,
@@ -246,7 +254,7 @@ def test_k_uniform_threshold_never_negative_and_monotone():
     last = 0
     for u in order:
         step_k_uniform(st, u, alpha)
-        q = alpha.value * st.w_S_total() - st.w_A_total()
+        q = alpha.value * st.weight_total() - st.w_A_total()
         assert q >= last - 1e-9
         last = q
 
@@ -478,12 +486,12 @@ def test_bipartite_commits_the_winning_proposal_it_holds():
 #
 # Each forged decision is one the rules never propose; committing it must
 # raise.  Linear weights make arrival and current weights equal, so the same
-# state serves both views.
+# members make a state under either view.
 
 
-def linear_members(weights, k, members):
+def linear_members(weights, k, members, view=CURRENT):
     """A linear state holding ``members``, accepted through the tracker alone."""
-    st = linear_state(weights, k)
+    st = linear_state(weights, k, view)
     for u in members:
         st.accept(u)
     return st
@@ -497,29 +505,28 @@ def forged_commit_error(commit, st, forged, *args):
 
 @pytest.mark.parametrize("view", [CURRENT, ARRIVAL])
 def test_commit_k_uniform_checks_the_replacement_factor(view):
-    st = linear_members({"a": 8, "b": 1, "c": 1, "d": 1, "e": 2}, 4, "abcd")
+    st = linear_members({"a": 8, "b": 1, "c": 1, "d": 1, "e": 2}, 4, "abcd", view)
     forged = Decision("e", True, evicted="b", w_u=1, w_evicted=1)  # w(e) is 2
     assert "replacement bound" in forged_commit_error(
-        commit_k_uniform, st, forged, solve_alpha(4), view)
+        commit_k_uniform, st, forged, solve_alpha(4))
     assert st.feasible == set("abcd")
 
 
 @pytest.mark.parametrize("view", [CURRENT, ARRIVAL])
 def test_commit_k_uniform_checks_the_threshold(view):
     # swapping a (8) for e (8.5) raises f by 0.5 and w(A) by 8.5 > alpha * 0.5
-    st = linear_members({"a": 8, "b": 1, "c": 1, "d": 1, "e": 8.5}, 4, "abcd")
+    st = linear_members({"a": 8, "b": 1, "c": 1, "d": 1, "e": 8.5}, 4, "abcd", view)
     forged = Decision("e", True, evicted="a", w_u=8.5, w_evicted=1)  # a weighs 8
     assert "threshold quantity decreased" in forged_commit_error(
-        commit_k_uniform, st, forged, solve_alpha(4), view)
+        commit_k_uniform, st, forged, solve_alpha(4))
 
 
 @pytest.mark.parametrize("view", [CURRENT, ARRIVAL])
 def test_commit_general_matroid_checks_the_history_bound(view):
     # swapping a (8) for e (8.5) raises f, but w(A) = 16.5 > 3/2 * w(S)
-    st = linear_members({"a": 8, "e": 8.5}, 1, "a")
+    st = linear_members({"a": 8, "e": 8.5}, 1, "a", view)
     forged = Decision("e", True, evicted="a", w_u=8.5, w_evicted=8)  # c = 3 asks 24
-    assert "history bound" in forged_commit_error(
-        commit_general_matroid, st, forged, 3, view)
+    assert "history bound" in forged_commit_error(commit_general_matroid, st, forged, 3)
 
 
 def test_commits_check_strict_increase_under_current_weights_only():
@@ -529,12 +536,12 @@ def test_commits_check_strict_increase_under_current_weights_only():
         (ARRIVAL, "threshold quantity decreased", "history bound"),
     ):
         # evicting the heavy a for a light e lowers f
-        st = linear_members({"a": 8, "b": 1, "c": 1, "d": 1, "e": 2}, 4, "abcd")
+        st = linear_members({"a": 8, "b": 1, "c": 1, "d": 1, "e": 2}, 4, "abcd", view)
         forged = Decision("e", True, evicted="a", w_u=100, w_evicted=1)
-        assert capacity_law in forged_commit_error(commit_k_uniform, st, forged, alpha, view)
-        st = linear_members({"a": 8, "b": 1, "e": 1}, 2, "ab")
+        assert capacity_law in forged_commit_error(commit_k_uniform, st, forged, alpha)
+        st = linear_members({"a": 8, "b": 1, "e": 1}, 2, "ab", view)
         forged = Decision("e", True, evicted="a", w_u=1, w_evicted=8)
-        assert exchange_law in forged_commit_error(commit_general_matroid, st, forged, 2, view)
+        assert exchange_law in forged_commit_error(commit_general_matroid, st, forged, 2)
 
 
 def test_commits_leave_a_rejected_proposal_uncommitted():

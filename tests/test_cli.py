@@ -290,7 +290,9 @@ def test_run_bipartite_refuses_c_of_at_most_1(tmp_path, capsys, c, empty):
         assert capsys.readouterr().err == "error: the exchange rule needs c > 1\n"
 
 
-RULES_OF = {"--c": ("general", "bipartite"), "--k": ("k-uniform",)}
+# The rules each flag applies to; no rule takes --k, since k-uniform reads k
+# from the instance's matroid.
+RULES_OF = {"--c": ("general", "bipartite"), "--k": ()}
 
 
 @pytest.mark.parametrize("flag, alg", [
@@ -301,10 +303,16 @@ RULES_OF = {"--c": ("general", "bipartite"), "--k": ("k-uniform",)}
 ])
 def test_run_refuses_a_parameter_its_rule_ignores(capsys, flag, alg):
     example = "bipartite_small" if alg == "bipartite" else "coverage_small"
-    code, text = run_main(["run", "--alg", alg, flag, "4", "--instance",
-                           str(EXAMPLES / f"{example}.json")])
-    assert (code, text) == (EXIT_INSTANCE, "")
+    argv = ["run", "--alg", alg, flag, "4", "--instance", str(EXAMPLES / f"{example}.json")]
     rules = " and ".join(RULES_OF[flag])
+    if not rules:  # the parser knows no such option
+        with pytest.raises(SystemExit) as exc:
+            run_main(argv)
+        assert exc.value.code == EXIT_INSTANCE
+        assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag} 4\n")
+        return
+    code, text = run_main(argv)
+    assert (code, text) == (EXIT_INSTANCE, "")
     assert capsys.readouterr().err == f"error: {flag} applies to --alg {rules}, not {alg}\n"
 
 
@@ -661,12 +669,13 @@ def test_partition_frac_needs_partition_matroid(tmp_path):
     assert code == EXIT_INSTANCE
 
 
-def test_run_k_mismatch_is_instance_error(tmp_path):
+def test_run_k_uniform_reads_k_from_the_instance(tmp_path):
     inst = make_instance(random.Random(5), 6)
     inst2 = Instance(inst.arrival_order, objective=inst.objective, matroid=UniformMatroid(4))
     path = write_instance(tmp_path, inst2)
-    code, _ = run_main(["run", "--alg", "k-uniform", "--instance", path, "--k", "5"])
-    assert code == EXIT_INSTANCE
+    code, text = run_main(["run", "--alg", "k-uniform", "--instance", path])
+    assert code == EXIT_OK
+    assert json.loads(text.splitlines()[-1])["params"] == {"k": 4, "routed": "capacity-rule"}
 
 
 def test_violation_maps_to_exit_3(monkeypatch):
@@ -685,7 +694,8 @@ def test_violation_maps_to_exit_3(monkeypatch):
     ("interval_small", ["k-uniform"], "per-round ratio", 0.5),
     ("interval_small", ["best-singleton"], "per-round ratio", 0.5),
     ("coverage_small", ["best-singleton"], None, None),
-    ("coverage_small", ["partition-frac"], "fractional per-round ratio", 1 / 3.15),
+    ("coverage_small", ["partition-frac"], "fractional per-round ratio",
+     1 / solve_alpha("inf").value),
     ("coverage_small", ["nonmono-general"], "expected per-round ratio", 1 / 16),
     ("interval_small", ["nonmono-uniform"], "expected per-round ratio",
      solve_alpha(2, rho=3).ratio * (1 - 1 / 3)),

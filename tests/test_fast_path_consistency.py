@@ -55,7 +55,7 @@ from subfree.objective import (
     unscaled,
 )
 from subfree.oracle import random_escalating_instance, random_instance, random_matroid
-from subfree.tracker import ARRIVAL, CURRENT, OnlineState
+from subfree.tracker import ARRIVAL, OnlineState
 
 
 class OpaqueObjective(Objective):
@@ -87,7 +87,7 @@ def trajectories_match(f, m, order, step):
         assert fast.feasible == slow.feasible
         assert fast.f_S() == slow.f_S()
         assert fast.w_A_total() == slow.w_A_total()
-        assert fast.w_S_total() == slow.w_S_total()
+        assert fast.weight_total() == slow.weight_total()
         assert {v: fast.w_S(v) for v in fast.feasible} == {v: slow.w_S(v) for v in slow.feasible}
         assert_weights_fresh(fast)
         if df.evicted is not None:
@@ -286,36 +286,35 @@ def test_ledger_with_float_weights():
 
 
 class HeapAudit:
-    """After every step: ``min_member()`` under both views against the full
-    (weight, acc_index) scan, the rule's cached threshold against a fresh
-    recomputation in original units, and the cached arrival total of S
+    """After every step: ``min_member()`` under the state's own view against
+    the full (weight, acc_index) scan, the rule's cached threshold against a
+    fresh recomputation in original units, and the cached arrival total of S
     against a re-sum (an exact total is never dropped).  Counts the steps that
     had a tie at the minimum and the evictions that raised a later member's
     current weight."""
 
-    def __init__(self, alpha, view):
-        self.alpha, self.view = alpha, view  # alpha None: a rule without a threshold
+    def __init__(self, alpha):
+        self.alpha = alpha  # None: a rule without a threshold
         self.ties = self.raises = 0
         self._before = {}
 
     def check(self, st):
-        for view in (CURRENT, ARRIVAL):
-            weights = st.member_weights(view)
-            ranked = sorted(st.feasible, key=lambda v: (weights[v], st.acc_index[v]))
-            least = ranked[0] if ranked else None
-            assert st.min_member(view=view) == least
-            # candidates that are all of S, as the same or an equal set, read the heap
-            assert st.min_member(st.feasible, view) == least
-            assert st.min_member(frozenset(ranked), view) == least
-            self.ties += len(ranked) > 1 and weights[ranked[0]] == weights[ranked[1]]
+        weights = st.member_weights()
+        ranked = sorted(st.feasible, key=lambda v: (weights[v], st.acc_index[v]))
+        least = ranked[0] if ranked else None
+        assert st.min_member() == least
+        # candidates that are all of S, as the same or an equal set, read the heap
+        assert st.min_member(st.feasible) == least
+        assert st.min_member(frozenset(ranked)) == least
+        self.ties += len(ranked) > 1 and weights[ranked[0]] == weights[ranked[1]]
         now = {v: st.w_S(v) for v in st.feasible}
         self.raises += any(w > self._before.get(v, w) for v, w in now.items())
         self._before = now
         a = self.alpha
         if a is not None:
-            fresh = (a.value * unscaled(st.weight_total(self.view), st.unit)
+            fresh = (a.value * unscaled(st.weight_total(), st.unit)
                      - a.rho * float(unscaled(st.w_A_total(), st.unit)))
-            assert _threshold(st, a, self.view)[1] == fresh
+            assert _threshold(st, a)[1] == fresh
         resum = sum(st.arrival_w[v] for v in sorted(st.feasible, key=st.acc_index.__getitem__))
         if not isinstance(resum, float):
             assert st._w_arrival_S_sum is not None
@@ -345,7 +344,7 @@ def test_min_member_heaps_match_the_scan_under_the_capacity_rule(kind):
         alpha = solve_alpha(k)
         f, order = tied_coverage(rng, 24, kind)
         st = OnlineState(f, UniformMatroid(k))
-        audit = HeapAudit(alpha, CURRENT)
+        audit = HeapAudit(alpha)
         for u in order:
             step_k_uniform(st, u, alpha)
             audit.check(st)
@@ -361,7 +360,7 @@ def test_min_member_heaps_match_the_scan_under_the_randomized_uniform_run(kind):
         rng = random.Random(900 + trial)
         f, order = tied_coverage(rng, 12, kind)
         run = NonmonotoneUniformRun(f, k=2, seed=trial)  # auxiliary capacity 6
-        audit = HeapAudit(run.alpha, ARRIVAL)
+        audit = HeapAudit(run.alpha)
         for u in order:
             evictions += run.step(u).evicted is not None
             audit.check(run.state)
@@ -379,9 +378,9 @@ def test_min_member_heaps_match_the_scan_under_the_exchange_rule(kind):
         plain = OnlineState(f, UniformMatroid(k))
         for u in order:
             step_general_matroid(plain, u)
-        assert set(plain._heaps) == {CURRENT}  # the rule's own query built the heap
+        assert plain._heap is not None  # the rule's own query built the heap
         st = OnlineState(f, UniformMatroid(k))
-        audit = HeapAudit(None, CURRENT)
+        audit = HeapAudit(None)
         for u in order:
             evictions += step_general_matroid(st, u).evicted is not None
             audit.check(st)
@@ -391,10 +390,34 @@ def test_min_member_heaps_match_the_scan_under_the_exchange_rule(kind):
     assert ties > 0 and raises > 0 and evictions > 0
 
 
+@pytest.mark.parametrize("kind", ["int", "fraction", "float"])
+def test_min_member_heaps_match_the_scan_under_the_randomized_exchange_run(kind):
+    # the exchange rule on arrival weights: on a full uniform matroid every
+    # member is an exchange candidate, so each full-set arrival reads the heap
+    ties = evictions = 0
+    for trial in range(10):
+        rng = random.Random(1200 + trial)
+        f, order = tied_coverage(rng, 12, kind)
+        k = 3 + trial % 2
+        plain = NonmonotoneGeneralRun(f, UniformMatroid(k), seed=trial)
+        for u in order:
+            plain.step(u)
+        assert plain.state._heap is not None  # the rule's own query built the heap
+        run = NonmonotoneGeneralRun(f, UniformMatroid(k), seed=trial)
+        assert run.state.view == ARRIVAL
+        audit = HeapAudit(None)
+        for u in order:
+            evictions += run.step(u).evicted is not None
+            audit.check(run.state)
+        assert run.state.feasible == plain.state.feasible
+        ties += audit.ties
+    assert ties > 0 and evictions > 0
+
+
 def test_min_member_heaps_match_the_scan_on_the_uniform_stream():
     k = 12
     alpha = solve_alpha(k)
-    audit = HeapAudit(alpha, CURRENT)
+    audit = HeapAudit(alpha)
     evictions = 0
 
     def step(st, u):
@@ -437,8 +460,7 @@ def test_uniform_stream_in_units_matches_fraction_weights(eps, delta, k, evicts,
         assert (Fraction(d.w_u, f.unit), Fraction(d.w_evicted, f.unit)) == (r.w_u, r.w_evicted)
         assert st.f_S() == ref.f_S() == Fraction(st.scaled_f_S(), f.unit)
         if rule == "capacity":
-            assert (_threshold(st, alpha, CURRENT)[1]
-                    == _threshold(ref, alpha, CURRENT)[1])
+            assert _threshold(st, alpha)[1] == _threshold(ref, alpha)[1]
         ratios.append(ref.f_S() / driver.current_opt())
         evictions += d.evicted is not None
 
@@ -480,8 +502,7 @@ def test_rules_on_coverage_in_units_match_fraction_weights(rule):
             assert Fraction(st.w_arrival_over_S(), unit) == ref.w_arrival_over_S()
             assert Fraction(st.w_A_total(), unit) == ref.w_A_total()
             if rule == "capacity":
-                assert (_threshold(st, alpha, CURRENT)[1]
-                        == _threshold(ref, alpha, CURRENT)[1])
+                assert _threshold(st, alpha)[1] == _threshold(ref, alpha)[1]
             evictions += d.evicted is not None
     assert evictions > 0
 

@@ -11,7 +11,6 @@ from subfree.matroid import (
     PartitionMatroid,
     UniformMatroid,
     UniformOccupancy,
-    uniform_as_explicit,
 )
 from subfree.objective import Linear
 from subfree.tracker import OnlineState, TrackerError
@@ -21,6 +20,13 @@ def powerset(items):
     items = sorted(items)
     for r in range(len(items) + 1):
         yield from (frozenset(c) for c in combinations(items, r))
+
+
+def uniform_as_explicit(k, ground):
+    """A small uniform matroid materialized as an explicit family."""
+    ground = sorted(set(ground))
+    k = min(k, len(ground))
+    return ExplicitMatroid(ground, [frozenset(c) for c in combinations(ground, k)])
 
 
 def outcome(query, *args):

@@ -4,7 +4,7 @@ import pytest
 
 from subfree.matroid import PartitionMatroid, UniformMatroid
 from subfree.objective import CurrentWeights, Linear, WeightedCoverage
-from subfree.tracker import OnlineState, TrackerError
+from subfree.tracker import ARRIVAL, CURRENT, OnlineState, TrackerError
 
 from conftest import random_coverage
 
@@ -161,7 +161,7 @@ def test_current_weight_sum_equals_f_S(rng):
             evict = st.min_member(same_part) if len(same_part) == cap else None
             st.accept(u, evict=evict)
             assert st.f_S() == pytest.approx(f.value(frozenset(st.feasible)))
-            assert st.w_arrival_over_S() <= st.w_S_total() + 1e-9
+            assert st.w_arrival_over_S() <= st.weight_total() + 1e-9
             assert st.w_A_total() == pytest.approx(
                 sum(st.arrival_w[v] for v in st.history)
             )
@@ -192,6 +192,30 @@ def test_min_member_tie_breaks_earliest():
     st.accept("a")
     st.accept("c")
     assert st.min_member() == "b"
+
+
+def test_a_state_refuses_an_unknown_weight_view():
+    for view in ("other", "CURRENT", None):
+        with pytest.raises(ValueError, match="unknown weight view"):
+            OnlineState(Linear({"a": 1}), UniformMatroid(1), view)
+
+
+@pytest.mark.parametrize("view, least, total", [(CURRENT, "c", 9), (ARRIVAL, "b", 4)])
+def test_a_state_ranks_and_sums_its_members_under_its_own_view(view, least, total):
+    # evicting a hands x to b: b's current weight rises from 1 to 6, its
+    # arrival weight stays 1
+    f = WeightedCoverage({"x": 5, "y": 1, "z": 3}, {"a": ["x"], "b": ["x", "y"], "c": ["z"]})
+    st = OnlineState(f, UniformMatroid(2), view)
+    st.accept("a")
+    st.accept("b")
+    assert st.min_member() == "b"  # builds the heap before the hand-off
+    st.accept("c", evict="a")
+    assert st.view == view
+    assert st.min_member() == st.min_member(st.feasible) == least
+    assert st.weight_total() == total
+    assert {v: st.member_weights()[v] for v in st.feasible} == (
+        {"b": 6, "c": 3} if view == CURRENT else {"b": 1, "c": 3})
+    assert st.f_S() == 9  # f does not depend on the view
 
 
 # -- current-weight keepers -------------------------------------------------------
