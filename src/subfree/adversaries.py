@@ -12,11 +12,14 @@ Families:
   offers the union of exactly the intervals the algorithm kept (worthless
   to it, one cheap quota slot for the optimum).  The thin intervals are
   disjoint, so the driver grows a plain ``WeightedCoverage``, one item per
-  thin interval, phase by phase.  With epsilon = p/q over P phases, a
-  phase-i interval weighs (q/(q-p))^i / k, the int q^i (q-p)^(P-i) over
-  the common denominator ``unit`` = k (q-p)^P, so the coverage is built on
-  those ints with that ``unit`` (see the objective module) and every
-  per-arrival sum and comparison is an int operation.
+  thin interval, phase by phase: when a phase starts, one ``register`` call
+  adds its 2k cells and their items, and the optimum after each of its
+  cells is computed, so offering a cell only sets the optimum and yields.
+  A union is registered when it is offered.  With epsilon = p/q over P
+  phases, a phase-i interval weighs (q/(q-p))^i / k, the int
+  q^i (q-p)^(P-i) over the common denominator ``unit`` = k (q-p)^P, so the
+  coverage is built on those ints with that ``unit`` (see the objective
+  module) and every per-arrival sum and comparison is an int operation.
 * ``PartitionMonotoneDriver`` - capacity-1 parts; phase i offers the item
   once in the contested part and once in a private part, with weights from
   sum_{j<=i+1} a_j = alpha * a_i, driven until the recurrence
@@ -261,7 +264,8 @@ class UniformHardnessDriver(AdversaryDriver):
 
     Thin interval j of phase i, [i-1 + (j-1)/2k, i-1 + j/2k), is one new
     item of weight ``cell_weight(i)``, registered as the int
-    ``cell_weight(i) * unit``; a union covers its intervals' items.
+    ``cell_weight(i) * unit`` with the rest of its phase; a union covers its
+    intervals' items.
     """
 
     def __init__(self, alpha, epsilon, delta, k: int):
@@ -295,8 +299,9 @@ class UniformHardnessDriver(AdversaryDriver):
         self.kept_value = 0  # sum over finished phases of x_j w_j, in units
         self.x: List[Fraction] = []
 
-    def cell_id(self, i: int, j: int) -> str:
-        return f"p{i}.s{j}"
+    def cell_ids(self, i: int) -> List[str]:
+        """Phase i's thin intervals, in arrival order."""
+        return [f"p{i}.s{j}" for j in range(1, 2 * self.k + 1)]
 
     def cell_weight(self, i: int) -> Fraction:
         # value of one phase-i interval: 2 * (1/2k) * (1-eps)^-i
@@ -308,15 +313,21 @@ class UniformHardnessDriver(AdversaryDriver):
         p, q = self.epsilon.numerator, self.epsilon.denominator
         for i in range(1, self.phases + 1):
             w = q ** i * (q - p) ** (self.phases - i)  # cell_weight(i) in units
-            # step (a): 2k thin intervals tiling [i-1, i), each id kept as yielded
-            cells = []
-            for j in range(1, 2 * k + 1):
-                el = self.cell_id(i, j)
-                cells.append(el)
-                item = len(f.universe_weight)
-                f.register(el, (item,), {item: w})
-                fresh = min(j, k - (i - 1))
-                self._opt = max(self._opt, self.kept_value + fresh * w)
+            # step (a): 2k thin intervals tiling [i-1, i), one new item each,
+            # registered together when the phase starts, with one shared weight
+            first = len(f.universe_weight)
+            cells = self.cell_ids(i)
+            items = list(range(first, first + 2 * k))  # one int object in weights and covers
+            f.register({el: (item,) for el, item in zip(cells, items)}, dict.fromkeys(items, w))
+            # OPT after cell j: the kept value plus min(j, k-i+1) fresh cells,
+            # or OPT before the phase where that is larger
+            fresh = k - i + 1
+            opts = [self.kept_value + j * w for j in range(1, fresh + 1)]
+            opts += [opts[-1]] * (2 * k - fresh)
+            before = self._opt
+            opts = [opt if opt > before else before for opt in opts]
+            for el, opt in zip(cells, opts):
+                self._opt = opt
                 visible = yield el
             # step (b): the union of the kept intervals
             kept = [el for el in cells if el in visible]
@@ -324,7 +335,7 @@ class UniformHardnessDriver(AdversaryDriver):
             if not kept:
                 continue
             union_id = f"p{i}.union"
-            f.register(union_id, [item for c in kept for item in f.covers[c]])
+            f.register({union_id: [item for c in kept for item in f.covers[c]]})
             self.kept_value += len(kept) * w
             self._opt = max(self._opt, self.kept_value + (k - i) * w)
             visible = yield union_id
@@ -347,33 +358,35 @@ def run_adversary(
     """
     state = state or OnlineState(driver.objective, driver.matroid)
     unit = driver.objective.unit
+    next_element, scaled_opt = driver.next_element, driver.scaled_opt
+    scaled_f_S, is_independent = state.scaled_f_S, driver.matroid.is_independent
     rounds: List[dict] = []
     least = None  # (f(S), OPT) of the minimum ratio, in units
     min_round = -1
     n = 0
-    last = None  # (f(S), OPT) of the previous round, in units
+    last_f = last_opt = None  # f(S) and OPT of the previous round, in units
     checked = None  # the last S found independent
     while True:
-        nxt = driver.next_element(frozenset(state.feasible))
+        # S is an immutable snapshot that every change replaces, so the
+        # driver may keep it, and the same object was already found independent
+        nxt = next_element(state.feasible)
         if isinstance(nxt, Stop):
             stop = nxt
             break
         step(state, nxt)
-        # S is an immutable snapshot that every change replaces, so the same
-        # object was already found independent
         if state.feasible is not checked:
-            if not driver.matroid.is_independent(state.feasible):
+            if not is_independent(state.feasible):
                 raise InvariantViolation("algorithm bug: infeasible set after round")
             checked = state.feasible
         n += 1
-        opt = driver.scaled_opt()
-        f_s = state.scaled_f_S()
+        opt = scaled_opt()
+        f_s = scaled_f_S()
         # most rounds change neither f(S) nor OPT, and an unchanged ratio
         # cannot undercut the minimum it was already compared with
-        if last is None or last[0] != f_s or last[1] != opt:
-            last = (f_s, opt)
+        if f_s != last_f or opt != last_opt:
+            last_f, last_opt = f_s, opt
             if opt > 0 and (least is None or f_s * least[1] < least[0] * opt):
-                least, min_round = last, n
+                least, min_round = (f_s, opt), n
             if record_rounds:
                 ratio = _ratio(f_s, opt, unit)
         if record_rounds:

@@ -19,6 +19,7 @@ byte-identical reruns with the same seed diff clean.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -740,6 +741,7 @@ def cmd_verify(args, out) -> int:
     return EXIT_OK if failures == 0 else EXIT_VIOLATION
 
 
+@functools.cache  # parse_args keeps nothing between calls
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="subfree")
     sub = p.add_subparsers(dest="command", required=True)

@@ -24,12 +24,12 @@ ones.
 Three families share one normal form, ``WeightedCoverage``: elements cover
 weighted items, and a set's value is the total weight of the items its
 members cover.  ``value``, the accumulator and the keeper are written once
-on that form, and its ``register`` is the one way to grow an instance,
-element by element, as adaptive streams do.  The keeper is an ownership
-ledger: each item lists the members covering it in the order they were
-added, the first of them owns it, and a member's weight is the mass it
-owns; removing a member hands each item it owned to the next holder in
-line, so neither call evaluates ``value``.
+on that form, and its ``register`` is the one way to grow an instance, a
+batch of elements at a time, as adaptive streams do.  The keeper is an
+ownership ledger: each item lists the members covering it in the order
+they were added, the first of them owns it, and a member's weight is the
+mass it owns; removing a member hands each item it owned to the next
+holder in line, so neither call evaluates ``value``.
 The other two families only build items, once, at load.  ``Linear`` gives
 each element one private item of its weight.  ``IntervalCoverage`` uses the
 segments between consecutive interval endpoints, each weighing twice its
@@ -285,31 +285,32 @@ class WeightedCoverage(Objective):
     def __init__(self, universe_weight: Mapping, covers: Mapping[str, Iterable],
                  unit: int = 1):
         self.unit = unit
-        _check_weights("item", universe_weight)
-        self.universe_weight = dict(universe_weight)
-        self.covers = {el: frozenset(items) for el, items in covers.items()}
-        for el, items in self.covers.items():
-            missing = items.difference(self.universe_weight)
-            if missing:
-                raise ObjectiveError(f"element {el!r} covers unknown items {sorted(missing)}")
+        self.universe_weight: Dict[object, object] = {}
+        self.covers: Dict[str, FrozenSet] = {}
+        self.register(covers, universe_weight)
 
-    def register(self, el: str, items: Iterable, new_weights: Mapping = {}) -> None:
-        """Add element ``el`` covering ``items``, the new ones weighing
-        ``new_weights``; validates as the constructor does, and changes
-        nothing when it raises."""
-        if el in self.covers:
+    def register(self, covers: Mapping[str, Iterable], new_weights: Mapping = {}) -> None:
+        """Add the elements of ``covers``, each covering its items, the new
+        items weighing ``new_weights``, validated once per call; the
+        constructor is one call on an empty coverage.  Changes nothing when
+        it raises."""
+        known, weights = self.covers, self.universe_weight
+        if not known.keys().isdisjoint(covers):
+            el = next(el for el in covers if el in known)
             raise ObjectiveError(f"element {el!r} already registered")
-        if not self.universe_weight.keys().isdisjoint(new_weights):
-            item = next(i for i in new_weights if i in self.universe_weight)
+        if not weights.keys().isdisjoint(new_weights):
+            item = next(i for i in new_weights if i in weights)
             raise ObjectiveError(f"item {item!r} already exists")
         _check_weights("item", new_weights)
-        items = frozenset(items)
-        if not new_weights.keys() >= items:  # else every item is new and known
-            missing = items.difference(self.universe_weight).difference(new_weights)
-            if missing:
-                raise ObjectiveError(f"element {el!r} covers unknown items {sorted(missing)}")
-        self.universe_weight.update(new_weights)
-        self.covers[el] = items
+        batch = {el: frozenset(items) for el, items in covers.items()}
+        # when every covered item is new, every item is known
+        if not new_weights.keys() >= frozenset().union(*batch.values()):
+            for el, items in batch.items():
+                missing = items.difference(weights).difference(new_weights)
+                if missing:
+                    raise ObjectiveError(f"element {el!r} covers unknown items {sorted(missing)}")
+        weights.update(new_weights)
+        known.update(batch)
 
     def elements(self) -> FrozenSet[str]:
         return frozenset(self.covers)

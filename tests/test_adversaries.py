@@ -449,3 +449,53 @@ def test_uniform_driver_matches_interval_coverage(k):
         for s, f_s, value, values in rounds:
             assert f_s == value == reference.value(s)
             assert values == {u: reference.value({u}) for u in values}
+
+
+@pytest.mark.parametrize("k", [4, 6, 10])
+def test_uniform_driver_matches_a_coverage_grown_one_arrival_at_a_time(k):
+    """The phase-batched driver against a coverage registered one offered
+    element at a time, from the interval semantics, with OPT kept as a
+    running maximum cell by cell.  On every round the offered elements cover
+    the same items at the same weights, S has the same value and OPT agrees;
+    the objective holds no cell of a phase that has not started, and each
+    phase's items share one weight object."""
+    unions_taken = 0
+    for seed in range(16):
+        driver = UniformHardnessDriver(Fraction(3), Fraction(1, 4), Fraction(1, 2), k)
+        f = driver.objective
+        grown = WeightedCoverage({}, {}, unit=f.unit)
+        step = _random_policy(seed)
+        state = OnlineState(f, driver.matroid)
+        item_of = {}  # the driver's item -> the grown coverage's (phase, cell)
+        offered = []
+        opt = kept = 0
+        while not isinstance(nxt := driver.next_element(state.feasible), Stop):
+            phase, part = nxt.split(".")
+            i = int(phase[1:])
+            w = driver.cell_weight(i) * f.unit
+            assert w.denominator == 1
+            if part == "union":
+                held = [u for u in state.feasible if u.startswith(phase + ".s")]
+                grown.register({nxt: [(i, int(u.split(".s")[1])) for u in held]})
+                kept += len(held) * w
+                opt = max(opt, kept + (k - i) * w)
+            else:
+                j = int(part[1:])
+                grown.register({nxt: [(i, j)]}, {(i, j): int(w)})
+                (item,) = f.covers[nxt]
+                item_of[item] = (i, j)
+                opt = max(opt, kept + min(j, k - i + 1) * w)
+            offered.append(nxt)
+            step(state, nxt)
+            assert driver.scaled_opt() == opt
+            assert set(f.covers) == set(offered) | set(driver.cell_ids(i))
+            for u in offered:
+                assert {item_of[x] for x in f.covers[u]} == grown.covers[u]
+                assert all(f.universe_weight[x] == grown.universe_weight[item_of[x]]
+                           for x in f.covers[u])
+            assert state.scaled_f_S() == f.value(state.feasible) == grown.value(state.feasible)
+        for i in range(1, driver.phases + 1):
+            weights = [f.universe_weight[x] for u in driver.cell_ids(i) for x in f.covers[u]]
+            assert len(weights) == 2 * k and len({id(w) for w in weights}) == 1
+        unions_taken += len(driver.union_taken)
+    assert unions_taken > 0  # some policy kept a phase's union

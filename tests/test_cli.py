@@ -501,6 +501,25 @@ def test_run_out_flag_writes_file(tmp_path, rng):
     assert json.loads(lines[-1])["record"] == "final"
 
 
+def test_consecutive_calls_share_no_parse_state(tmp_path, rng):
+    """One parser serves every call in a process; a flag given once is not
+    remembered by the next call that omits it."""
+    path = write_instance(tmp_path, make_instance(rng, 6))
+    out_path = tmp_path / "report.jsonl"
+    argv = ["run", "--alg", "general", "--instance", path]
+    assert run_main(argv + ["--out", str(out_path)]) == (EXIT_OK, "")
+    code, text = run_main(argv)
+    assert code == EXIT_OK and text == out_path.read_text(encoding="utf-8")
+    adversary = ["adversary", "--family", "uniform", "--alpha", "3", "--eps", "0.25",
+                 "--delta", "0.5", "--k", "4", "--alg", "k-uniform"]
+    code, quiet = run_main(adversary + ["--quiet"])
+    assert code == EXIT_OK and len(quiet.splitlines()) == 1
+    code, text = run_main(adversary)
+    assert code == EXIT_OK and text.splitlines()[-1] == quiet.splitlines()[0]
+    assert len(text.splitlines()) > 1
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_run_rejects_bad_instance(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")

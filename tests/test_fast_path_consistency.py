@@ -321,16 +321,16 @@ class HeapAudit:
         assert st.w_arrival_over_S() == resum
 
 
-def tied_coverage(rng, n, kind):
-    """Elements in pairs with equal private items on an escalating ladder, plus
-    shared items, so that weights tie and evictions hand items on.  ``kind``
-    picks int, Fraction or float weights."""
+def tied_coverage(rng, n, kind, growth=1.8):
+    """Elements in pairs with equal private items on an escalating ladder (each
+    pair ``growth`` times the last), plus shared items, so that weights tie and
+    evictions hand items on.  ``kind`` picks int, Fraction or float weights."""
     num = {"int": int, "fraction": lambda x: Fraction(x, 7), "float": lambda x: x / 7}[kind]
     shared = [f"s{j}" for j in range(3)]
     weights = {i: num(rng.randint(1, 4)) for i in shared}
     covers = {}
     for i in range(n):
-        weights[f"x{i:02d}"] = num(round(10 * 1.8 ** (i // 2)))
+        weights[f"x{i:02d}"] = num(round(10 * growth ** (i // 2)))
         covers[f"e{i:02d}"] = {f"x{i:02d}"} | set(rng.sample(shared, rng.randint(0, 2)))
     return WeightedCoverage(weights, covers), sorted(covers)
 
@@ -365,6 +365,27 @@ def test_min_member_heaps_match_the_scan_under_the_randomized_uniform_run(kind):
             evictions += run.step(u).evicted is not None
             audit.check(run.state)
     assert evictions > 0
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "float"])
+def test_min_member_heaps_match_the_scan_when_a_late_member_becomes_the_least(kind):
+    """A member accepted over items an evicted element covered has w_S(u) > w(u),
+    and on a gentle ladder it later becomes the member of least arrival weight;
+    the heap must hold it at w(u), or the rule evicts a heavier member."""
+    least_moved = 0
+    for trial in range(10):
+        rng = random.Random(900 + trial)
+        f, order = tied_coverage(rng, 30, kind, growth=1.44)
+        run = NonmonotoneUniformRun(f, k=2, seed=trial)
+        st = run.state
+        audit = HeapAudit(run.alpha)
+        moved = set()  # members whose weight under the other view differed on accept
+        for u in order:
+            if run.step(u).accepted and st.w_S(u) != st.arrival_w[u]:
+                moved.add(u)
+            audit.check(st)
+            least_moved += st.min_member() in moved
+    assert least_moved > 0
 
 
 @pytest.mark.parametrize("kind", ["int", "fraction", "float"])
@@ -453,8 +474,8 @@ def test_uniform_stream_in_units_matches_fraction_weights(eps, delta, k, evicts,
 
     def both(st, u):
         nonlocal evictions
-        plain.register(u, f.covers[u], {i: Fraction(f.universe_weight[i], f.unit)
-                                        for i in f.covers[u] - plain.universe_weight.keys()})
+        plain.register({u: f.covers[u]}, {i: Fraction(f.universe_weight[i], f.unit)
+                                          for i in f.covers[u] - plain.universe_weight.keys()})
         d, r = step(st, u), step(ref, u)
         assert (d.accepted, d.evicted) == (r.accepted, r.evicted)
         assert (Fraction(d.w_u, f.unit), Fraction(d.w_evicted, f.unit)) == (r.w_u, r.w_evicted)

@@ -8,7 +8,9 @@ the randomized rules.  Regenerate a report only for a deliberate report
 change, and say so in CHANGES.md.
 
 ``golden/commands`` pins a few more commands the same way: the full round
-log of the k=20 uniform hardness stream under the capacity rule, and the
+log of the k=20 uniform hardness stream under the capacity rule, the
+``--quiet`` final line of the k=200 stream (the benchmark's command) under
+the capacity rule, the exchange rule and the best singleton, and the
 exchange rule at a c that is not an integer (c = 3/2 and 5/2) on Fraction
 and int weights.
 """
@@ -64,6 +66,10 @@ COMMANDS = {
     "adversary.uniform.k20.k-uniform": [
         "adversary", "--family", "uniform", "--alpha", "3", "--eps", "0.05",
         "--delta", "0.2", "--k", "20", "--alg", "k-uniform"],
+    **{f"adversary.uniform.k200.{alg}.quiet": [
+        "adversary", "--family", "uniform", "--alpha", "3", "--eps", "0.05",
+        "--delta", "0.2", "--k", "200", "--alg", alg, "--quiet"]
+       for alg in ("k-uniform", "general", "best-singleton")},
     **{f"interval_small.general.c{c}": [
         "run", "--alg", "general", "--c", c, "--check-every-round",
         "--instance", str(ROOT / "docs/examples/interval_small.json")] for c in ("1.5", "2.5")},

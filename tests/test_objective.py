@@ -248,21 +248,50 @@ def test_weighted_coverage_register():
     f = WeightedCoverage({"x": 1, "y": 2}, {"a": {"x"}})
     acc = f.accumulator()  # made before the registration, as a stream's tracker is
     acc.add("a")
-    f.register("b", ["x", "z"], {"z": 3})
-    assert f.value({"b"}) == 4 and f.value({"a", "b"}) == 4
-    assert acc.marginal("b") == 3
+    f.register({"b": ["x", "z"], "c": ("z", "v")}, {"z": 3, "v": 4})
+    assert f.value({"b"}) == 4 and f.value({"a", "b"}) == 4 and f.value({"c"}) == 7
+    assert acc.marginal("b") == 3 and acc.marginal("c") == 7
+    f.register({"d": ["y", "v"]})  # old items only
+    assert f.value({"d"}) == 6
+    f.register({})  # an empty batch adds nothing
     before = (dict(f.universe_weight), dict(f.covers))
-    for el, items, new, match in (
-        ("a", ["y"], {}, "already registered"),
-        ("c", ["w", "x"], {"w": 1, "x": 5}, "already exists"),
-        ("c", ["y", "w"], {}, "unknown items"),
-        ("c", ["w"], {"w": -1}, "negative"),
-        ("c", ["w"], {"w": math.inf}, "non-finite"),
-        ("c", ["w"], {"w": math.nan}, "non-finite"),
+    for covers, new, match in (
+        ({"a": ["y"]}, {}, "element 'a' already registered"),
+        ({"e": ["w", "x"]}, {"w": 1, "x": 5}, "item 'x' already exists"),
+        ({"e": ["y", "w"]}, {}, r"element 'e' covers unknown items \['w'\]"),
+        ({"e": ["w"]}, {"w": -1}, "item 'w' has negative weight"),
+        ({"e": ["w"]}, {"w": math.inf}, "item 'w' has a non-finite weight"),
+        ({"e": ["w"]}, {"w": math.nan}, "item 'w' has a non-finite weight"),
     ):
         with pytest.raises(ObjectiveError, match=match):
-            f.register(el, items, new)
+            f.register(covers, new)
         assert (f.universe_weight, f.covers) == before
+
+
+@pytest.mark.parametrize("last, extra, match", [
+    (("b", ["p9"]), {}, "element 'b' already registered"),
+    (("e9", ["x"]), {"x": 5}, "item 'x' already exists"),
+    (("e9", ["p0", "w"]), {}, r"element 'e9' covers unknown items \['w'\]"),
+    (("e9", ["p9"]), {"p9": -1}, "item 'p9' has negative weight"),
+    (("e9", ["p9"]), {"p9": math.inf}, "item 'p9' has a non-finite weight"),
+    (("e9", ["p9"]), {"p9": math.nan}, "item 'p9' has a non-finite weight"),
+])
+def test_weighted_coverage_register_is_all_or_nothing(last, extra, match):
+    """A batch whose last element fails a check adds none of the elements
+    or items before it."""
+    f = WeightedCoverage({"x": 1, "y": 2}, {"a": {"x"}, "b": {"y"}})
+    before = (dict(f.universe_weight), dict(f.covers))
+    covers = {f"e{j}": [f"p{j}", "x"] for j in range(8)}
+    covers[last[0]] = last[1]
+    new = {f"p{j}": j + 1 for j in range(8)}
+    new.update(extra)
+    with pytest.raises(ObjectiveError, match=match):
+        f.register(covers, new)
+    assert (f.universe_weight, f.covers) == before
+    # the same batch without its failing part lands whole
+    del covers[last[0]]
+    f.register(covers, {i: w for i, w in new.items() if i not in extra})
+    assert f.value(covers) == 1 + sum(range(1, 9))
 
 
 # -- accumulator hooks ------------------------------------------------------
