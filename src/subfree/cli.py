@@ -352,21 +352,28 @@ def _reference_optima(instance: Instance, check: bool) -> List[object]:
     return [None] * len(order)
 
 
+class _ValueMemo(dict):
+    """f's value of each set looked up, computed on the first lookup."""
+
+    def __init__(self, f: Objective):
+        super().__init__()
+        self.value = f.value
+
+    def __missing__(self, chosen: frozenset):
+        value = self[chosen] = self.value(chosen)
+        return value
+
+
 def _trial_values(f: Objective, samples: Iterable[frozenset]) -> list:
-    """f of each sampled set, in order, evaluating f once per distinct set.
-    The sets are drawn as the list is built, inside the one-worker pool,
-    which only marks the trials phase for the benchmark's tracer (it hooks
-    ``ThreadPoolExecutor``); it goes once the benchmark times the phase
-    another way."""
-    memo: dict = {}
-
-    def value(chosen: frozenset):
-        if chosen not in memo:
-            memo[chosen] = f.value(chosen)
-        return memo[chosen]
-
+    """f of each sampled set, in order, evaluating f once per distinct set,
+    in order of first appearance.  The sets are drawn as ``map`` looks each
+    one up in the memo, so no Python frame runs per trial beyond the
+    sampler's own.  The phase runs inside the one-worker pool, which only
+    marks it for the benchmark's tracer (it hooks ``ThreadPoolExecutor``);
+    the pool goes once the benchmark times the phase another way."""
+    lookup = _ValueMemo(f).__getitem__
     with ThreadPoolExecutor(max_workers=1) as pool:
-        return pool.submit(lambda: [value(chosen) for chosen in samples]).result()
+        return pool.submit(lambda: list(map(lookup, samples))).result()
 
 
 def _trial_mean(f: Objective, samples: Iterable[frozenset]):
@@ -651,7 +658,7 @@ def cmd_adversary(args, out) -> int:
     return EXIT_OK
 
 
-def _verify_lemmas(rng: random.Random, cases: int, out) -> int:
+def _verify_lemmas(rng: random.Random, cases: int, out, seed: int) -> int:
     failures = 0
     for case in range(cases):
         f, m, order = random_instance(rng, rng.randint(5, 9))
@@ -667,7 +674,7 @@ def _verify_lemmas(rng: random.Random, cases: int, out) -> int:
         except InvariantViolation as exc:
             failures += 1
             out.write(canonical_dumps({
-                "record": "violation", "suite": "lemmas", "case": case,
+                "record": "violation", "suite": "lemmas", "seed": seed, "case": case,
                 "error": str(exc), "instance": inst.to_json(),
             }) + "\n")
     out.write(canonical_dumps({
@@ -676,7 +683,7 @@ def _verify_lemmas(rng: random.Random, cases: int, out) -> int:
     return failures
 
 
-def _verify_sampling(rng: random.Random, cases: int, out) -> int:
+def _verify_sampling(rng: random.Random, cases: int, out, seed: int) -> int:
     failures = 0
     for case in range(cases):
         n = rng.randint(2, 8)
@@ -686,7 +693,7 @@ def _verify_sampling(rng: random.Random, cases: int, out) -> int:
             if not ok:
                 failures += 1
                 out.write(canonical_dumps({
-                    "record": "violation", "suite": "sampling", "case": case,
+                    "record": "violation", "suite": "sampling", "seed": seed, "case": case,
                     "k": k, "witness": witness,
                     "table": objective_to_json(g),
                 }) + "\n")
@@ -696,11 +703,12 @@ def _verify_sampling(rng: random.Random, cases: int, out) -> int:
     return failures
 
 
-def _verify_rounding(rng: random.Random, cases: int, out) -> int:
+def _verify_rounding(rng: random.Random, cases: int, out, seed: int) -> int:
     failures = 0
+    delta = Fraction(1, 25)
     for case in range(cases):
         f, m, order = random_instance(rng, rng.randint(4, 6), matroid_kind="partition")
-        st = FractionalState(f, m, delta=Fraction(1, 25), seed=case)
+        st = FractionalState(f, m, delta=delta, seed=case)
         for u in order:
             st.step(u)
         target = st.soft_value_live()
@@ -714,9 +722,10 @@ def _verify_rounding(rng: random.Random, cases: int, out) -> int:
         if not (ok and ok2):
             failures += 1
             out.write(canonical_dumps({
-                "record": "violation", "suite": "rounding", "case": case,
-                "mean": mean, "target": to_jsonable(target), "sigma": sigma,
-                "fhat_slack": to_jsonable(slack),
+                "record": "violation", "suite": "rounding", "seed": seed, "case": case,
+                "delta": str(delta), "mean": mean, "target": to_jsonable(target),
+                "sigma": sigma, "fhat_slack": to_jsonable(slack),
+                "instance": Instance(order, objective=f, matroid=m).to_json(),
             }) + "\n")
     out.write(canonical_dumps({
         "record": "suite", "suite": "rounding", "cases": cases, "failures": failures,
@@ -731,11 +740,11 @@ def cmd_verify(args, out) -> int:
     for suite in suites:
         rng = random.Random(seed)
         if suite == "lemmas":
-            failures += _verify_lemmas(rng, args.cases, out)
+            failures += _verify_lemmas(rng, args.cases, out, seed)
         elif suite == "sampling":
-            failures += _verify_sampling(rng, args.cases, out)
+            failures += _verify_sampling(rng, args.cases, out, seed)
         elif suite == "rounding":
-            failures += _verify_rounding(rng, min(args.cases, 40), out)
+            failures += _verify_rounding(rng, min(args.cases, 40), out, seed)
         else:
             raise InstanceError(f"unknown suite {suite!r}")
     return EXIT_OK if failures == 0 else EXIT_VIOLATION

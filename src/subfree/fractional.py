@@ -17,9 +17,11 @@ own generator ``random.Random(s)``; ``roundings(s, n)`` is a phase of ``n``
 roundings drawn in turn from one such generator, so its first rounding is
 ``round_with_seed(s)`` and the phase seeds a generator once, not ``n``
 times.  The state does not change during a phase, so the phase reads each
-part's slot owners once, maps every drawn point straight to its owner, and
-returns one shared set per distinct rounding.  ``round_online`` stays the
-definitional path that the phase is tested against.
+part's slot owners once, into a list padded with one owner at either end,
+maps each drawn point to its owner with one index and no clamp, and returns
+one shared set per distinct rounding.  ``round_online`` and
+``slot_of_point`` stay the definitional path that the phase is tested
+against.
 """
 
 from __future__ import annotations
@@ -73,6 +75,9 @@ class FractionalState:
         self.delta = _as_exact(delta)
         if self.delta <= 0 or (1 / self.delta).denominator != 1:
             raise ValueError("delta must be positive with integral 1/delta")
+        # delta = 1/q, so float(n * delta) is n / q: both are correctly rounded
+        self._q = self.delta.denominator
+        self._d = float(self.delta)
         self.alpha = solve_alpha("inf").value
         self.parts = dict(matroid.capacity)
         self.slots_per_part = {
@@ -108,7 +113,7 @@ class FractionalState:
     def _count(self, units: Dict[str, int], masses: Dict[str, float], u: str, step: int) -> None:
         n = units[u] = units.get(u, 0) + step
         if n:
-            masses[u] = float(n * self.delta)
+            masses[u] = n / self._q
         else:
             del units[u], masses[u]
 
@@ -118,7 +123,7 @@ class FractionalState:
     def unit_slack(self, part: str) -> float:
         """alpha * delta * the largest unit weight so far in the part: how far
         one unit of mass may lower its threshold quantity alpha * w_live - w_hist."""
-        return self.alpha * self._max_unit_w[part] * float(self.delta)
+        return self.alpha * self._max_unit_w[part] * self._d
 
     # -- the arrival loop ---------------------------------------------------
 
@@ -162,9 +167,8 @@ class FractionalState:
         heapq.heappush(self._weakest_heap[part], (rate, self._seq, slot))
         self._count(self.hist_units, self._hist_mass, u, 1)
         self._count(self._live_units, self._live_mass, u, 1)
-        d = float(self.delta)
-        self.w_live[part] += d * rate
-        self.w_hist[part] += d * rate
+        self.w_live[part] += self._d * rate
+        self.w_hist[part] += self._d * rate
         self._max_unit_w[part] = max(self._max_unit_w[part], rate)
         trace.append({"event": "unit", "element": u, "slot": slot, "weight": rate})
 
@@ -172,7 +176,7 @@ class FractionalState:
         unit = self.live[part].pop(heapq.heappop(self._weakest_heap[part])[2])
         self._count(self._live_units, self._live_mass, unit.element, -1)
         heapq.heappush(self._free[part], unit.slot)
-        self.w_live[part] -= float(self.delta) * unit.weight
+        self.w_live[part] -= self._d * unit.weight
         trace.append(
             {"event": "drain", "element": unit.element, "slot": unit.slot,
              "weight": unit.weight}
@@ -182,7 +186,8 @@ class FractionalState:
 
     def slot_of_point(self, t: float, part: str) -> int:
         # slots are ((s)delta, (s+1)delta]; points live in (0, cap];
-        # round_online and roundings inline this per point
+        # round_online inlines this per point, and roundings folds the clamp
+        # into its padded owner lists
         idx = int(math.ceil(t / float(self.delta))) - 1
         return min(max(idx, 0), self.slots_per_part[part] - 1)
 
@@ -217,26 +222,30 @@ class FractionalState:
         seeded ``seed``; the first is ``round_with_seed(seed)``.  Each trial
         draws the points of ``_draw_points`` and maps them as ``round_online``
         does, but straight to a bit of the slot's owner, read once for the
-        phase; equal roundings come back as one shared set."""
+        phase; equal roundings come back as one shared set.
+
+        A part's owner list is padded with its first owner in front and its
+        last at the end, so index ``ceil(t / d)`` of the padded list is the
+        owner of ``slot_of_point(t)``: index c is slot c - 1, index 0 (a
+        point at or below 0) is slot 0, and index N + 1 (a point that the
+        float quotient puts past the last edge) is slot N - 1.  No point in
+        [0, cap] reaches past N + 1, as cap / float(delta) < N + 1."""
         bit_of: Dict[str, int] = {}
-        layout = []  # per part: cap, last slot, slot owners' bits (0: empty), cap draws
+        points = []  # per drawn point, in draw order: its part's cap and padded owners' bits
         for part, cap in self.parts.items():
-            owners = [0] * self.slots_per_part[part]
+            owners = [0] * self.slots_per_part[part]  # 0: an empty slot
             for slot, unit in self.live[part].items():
                 owners[slot] = bit_of.setdefault(unit.element, 1 << len(bit_of))
-            layout.append((cap, len(owners) - 1, owners, range(cap)))
+            points += [(cap, [owners[0], *owners, owners[-1]])] * cap
         elements = list(bit_of)  # element i owns bit 1 << i
         sets: Dict[int, frozenset] = {}
-        draw, ceil, d = random.Random(seed).random, math.ceil, float(self.delta)
+        draw, ceil, d = random.Random(seed).random, math.ceil, self._d
         for _ in range(trials):
             mask = 0
-            for cap, last, owners, points in layout:
-                for _ in points:
-                    slot = ceil(cap * (1.0 - draw()) / d) - 1
-                    mask |= owners[last if slot > last else slot if slot > 0 else 0]
+            for cap, owners in points:
+                mask |= owners[ceil(cap * (1.0 - draw()) / d)]
             chosen = sets.get(mask)
             if chosen is None:
                 picks = bin(mask)[:1:-1].encode().translate(_DIGIT_BYTES)  # bit 0 first
                 chosen = sets[mask] = frozenset(compress(elements, picks))
             yield chosen
-

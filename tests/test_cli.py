@@ -935,6 +935,28 @@ def test_verify_rounding_suite():
     assert code == EXIT_OK
 
 
+def test_verify_rounding_violation_carries_a_reproducer(monkeypatch):
+    def failing(*args):
+        return False, check_f_vs_fhat(*args)[1]
+
+    check_f_vs_fhat = cli.check_f_vs_fhat
+    monkeypatch.setattr(cli, "check_f_vs_fhat", failing)
+    code, text = run_main(["verify", "--suite", "rounding", "--cases", "3", "--seed", "7"])
+    assert code == EXIT_VIOLATION
+    records = [json.loads(line) for line in text.splitlines()]
+    assert records[-1] == {"record": "suite", "suite": "rounding", "cases": 3, "failures": 3}
+    for case, rec in enumerate(records[:-1]):
+        assert (rec["record"], rec["seed"], rec["case"]) == ("violation", 7, case)
+        inst = Instance.from_json(rec["instance"])
+        st = FractionalState(inst.objective, inst.matroid, delta=Fraction(rec["delta"]),
+                             seed=rec["case"])
+        for u in inst.arrival_order:
+            st.step(u)
+        values = [inst.objective.value(chosen) for chosen in st.roundings(0, 2000)]
+        assert statistics.fmean(values) == rec["mean"]
+        assert st.soft_value_live() == rec["target"]
+
+
 @pytest.mark.parametrize("seed", range(1, 11))
 def test_verify_rounding_suite_passes_its_three_sigma_test(seed):
     code, text = run_main(["verify", "--suite", "rounding", "--cases", "20",
@@ -1088,25 +1110,24 @@ def test_cross_process_determinism_under_hash_randomization(tmp_path):
     inst = Instance(order, objective=f, matroid=m)
     path = write_instance(tmp_path, inst)
     root = pathlib.Path(__file__).resolve().parents[1]
+    runs = [
+        ["run", "--alg", "general", "--instance", path, "--check-every-round"],
+        ["run", "--alg", "partition-frac", "--instance", path, "--seed", "5", "--trials", "4"],
+        # 20,000 roundings through a memo keyed by frozensets
+        ["run", "--alg", "partition-frac", "--instance", path, "--seed", "5",
+         "--trials", "20000"],
+    ]
     outputs = []
     for hash_seed in ("1", "31337"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(root / "src"))
-        r = subprocess.run(
-            [_sys.executable, "-m", "subfree.cli", "run", "--alg", "general",
-             "--instance", path, "--check-every-round"],
-            capture_output=True, text=True, env=env,
-        )
-        assert r.returncode == 0, r.stderr
-        outputs.append(r.stdout)
-        r2 = subprocess.run(
-            [_sys.executable, "-m", "subfree.cli", "run", "--alg", "partition-frac",
-             "--instance", path, "--seed", "5", "--trials", "4"],
-            capture_output=True, text=True, env=env,
-        )
-        assert r2.returncode == 0, r2.stderr
-        outputs.append(r2.stdout)
-    assert outputs[0] == outputs[2]
-    assert outputs[1] == outputs[3]
+        texts = []
+        for argv in runs:
+            r = subprocess.run([_sys.executable, "-m", "subfree.cli", *argv],
+                               capture_output=True, text=True, env=env)
+            assert r.returncode == 0, r.stderr
+            texts.append(r.stdout)
+        outputs.append(texts)
+    assert outputs[0] == outputs[1]
 
 
 def test_env_seed_default(tmp_path, monkeypatch):

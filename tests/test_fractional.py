@@ -131,6 +131,17 @@ def test_kept_mass_vectors_match_the_units():
     assert drains > 0
 
 
+def test_unit_masses_are_n_over_q():
+    """delta = 1/q, so float(n * delta) and n / q are both the correctly
+    rounded n/q; the state keeps the latter."""
+    for q in (1, 3, 7, 25, 50, 300, 1000):
+        delta = Fraction(1, q)
+        assert all(n / q == float(n * delta) for n in range(10**4 + 1)), q
+    for st in _stepped_states():
+        assert st._hist_mass == {v: float(n * st.delta) for v, n in st.hist_units.items()}
+        assert st._live_mass == {v: float(n * st.delta) for v, n in st._live_units.items()}
+
+
 def test_slot_map_injective_on_live_units():
     rng = random.Random(9)
     f = random_coverage(rng, 7)
@@ -330,6 +341,30 @@ def test_roundings_draw_in_order_from_one_generator():
     assert varied == 3 * states  # no phase repeats one set: the states are not trivial
 
 
+def _binary_delta_state(den):
+    """A random partition state after its stream at delta = 1/den, a power of
+    two, where every slot edge j * delta is an exact binary fraction."""
+    rng = random.Random(den)
+    f = random_coverage(rng, 8)
+    order = sorted(f.elements())
+    st = FractionalState(f, partition_for(order, rng, max_parts=3, max_cap=3),
+                         delta=Fraction(1, den), seed=den)
+    rng.shuffle(order)
+    for u in order:
+        st.step(u)
+    return st
+
+
+@pytest.mark.parametrize("make", [_many_owners_state, lambda: _binary_delta_state(64),
+                                  lambda: _binary_delta_state(256)],
+                         ids=["many-owners", "delta-1/64", "delta-1/256"])
+def test_long_rounding_phase_matches_round_online(make):
+    st = make()
+    got = list(st.roundings(7, 5000))
+    assert got == online_roundings(st, 7, 5000)
+    assert len(set(got)) > 1
+
+
 def test_a_phase_reads_the_live_state_it_starts_from():
     f = Linear({"a": 1.0, "b": 5.0, "c": 2.0})
     m = PartitionMatroid({"a": "p", "b": "p", "c": "q"}, {"p": 1, "q": 1})
@@ -341,6 +376,24 @@ def test_a_phase_reads_the_live_state_it_starts_from():
                        for l, units in st.live.items()})
         assert list(st.roundings(3, 300)) == online_roundings(st, 3, 300)
     assert owners[1] != owners[2]  # b's arrival drained units of a
+
+
+# (cap, 1/delta) of the slot-boundary tests; at 1/49 the float quotient
+# cap / float(delta) of the top point exceeds the slot count N for cap 1 and 2
+BOUNDARY_GRID = [(cap, den) for den in (10, 17, 25, 49, 50) for cap in (1, 2, 3)]
+
+
+def test_padded_owner_index_stays_in_range():
+    """roundings reads owner ceil(cap * (1.0 - r) / d) of a list padded with
+    one owner either side; at r = 0.0 and the largest r below 1 the index
+    stays in [0, N + 1], and N + 1 (past the last slot edge) does occur."""
+    tops = []
+    for cap, den in BOUNDARY_GRID:
+        n, d = cap * den, float(Fraction(1, den))
+        for r in (0.0, math.nextafter(1.0, 0.0)):
+            assert 0 <= math.ceil(cap * (1.0 - r) / d) <= n + 1, (cap, den, r)
+        tops.append(math.ceil(cap / d) - n)
+    assert set(tops) == {0, 1}
 
 
 def test_roundings_match_round_online_at_slot_boundaries(monkeypatch):
@@ -355,7 +408,7 @@ def test_roundings_match_round_online_at_slot_boundaries(monkeypatch):
 
     states = [FractionalState(Linear({"a": 1}), PartitionMatroid({"a": "p"}, {"p": cap}),
                               delta=Fraction(1, den))
-              for den in (10, 17, 25, 50) for cap in (1, 2, 3)]
+              for cap, den in BOUNDARY_GRID]
     monkeypatch.setattr(fractional.random, "Random", ChosenRandom)
     for st in states:
         cap, n = st.parts["p"], st.slots_per_part["p"]

@@ -10,9 +10,12 @@ change, and say so in CHANGES.md.
 ``golden/commands`` pins a few more commands the same way: the full round
 log of the k=20 uniform hardness stream under the capacity rule, the
 ``--quiet`` final line of the k=200 stream (the benchmark's command) under
-the capacity rule, the exchange rule and the best singleton, and the
-exchange rule at a c that is not an integer (c = 3/2 and 5/2) on Fraction
-and int weights.
+the capacity rule, the exchange rule and the best singleton, the exchange rule
+at a c that is not an integer (c = 3/2 and 5/2) on Fraction and int
+weights, and the fractional rule's rounding phase at scale: 20,000 trials
+on coverage_small, whose roundings repeat, and 2,000 on coverage_wide,
+where 43 owners share the 60 slots of a part and almost every rounding is
+distinct.
 """
 
 import contextlib
@@ -76,6 +79,10 @@ COMMANDS = {
     **{f"coverage_wide.general.c{c}": [
         "run", "--alg", "general", "--c", c,
         "--instance", str(ROOT / "docs/examples/coverage_wide.json")] for c in ("1.5", "2.5")},
+    **{f"{example}.partition-frac.t{trials}": [
+        "run", "--alg", "partition-frac", "--seed", "3", "--trials", trials,
+        "--instance", str(ROOT / f"docs/examples/{example}.json")]
+       for example, trials in (("coverage_small", "20000"), ("coverage_wide", "2000"))},
 }
 
 
