@@ -46,7 +46,7 @@ def main():
             continue
         print(f"instance {seed}: OPT = {float(opt):.2f}")
         for delta in DELTAS:
-            st = FractionalState(f, m, delta=delta, seed=seed)
+            st = FractionalState(f, m, delta=delta)
             for u in order:
                 st.step(u)
             fhat = st.soft_value_live()

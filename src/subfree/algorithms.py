@@ -5,7 +5,9 @@ and changes nothing, and a ``commit_*``, which applies a proposal and checks
 the rule's laws only when the state changes; ``step_*`` is commit(propose).
 The bipartite composition commits the winning agent's proposal, and the
 randomized rules for non-monotone objectives run the same pair on a state
-built under arrival weights, adding only their coins and slots.  A rule
+built under arrival weights, adding only the uniform rule's slots; each
+draws its coins or slot choice after the stream, from a seed its caller
+passes.  A rule
 ranks and sums members under the state's weight view (see the tracker
 module) and takes no view of its own.  The laws, each raising
 ``InvariantViolation`` when broken rather than degrading silently:
@@ -31,7 +33,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .matroid import UniformMatroid
 from .objective import Objective
@@ -339,37 +341,26 @@ class NonmonotoneGeneralRun:
 
     The auxiliary set S follows the deterministic exchange rule evaluated on
     g = half-thinned f with a single value function (arrival weights only);
-    the feasible output is the members of S whose fair coin, tossed once at
-    acceptance, came up 1, so evictions from S evict from the output too.
-    S never depends on the coins.
+    the feasible output is the members of S whose fair coin came up 1, one
+    coin per accepted element in acceptance order, so evictions from S evict
+    from the output too.  S never depends on the coins, so they are drawn
+    after the stream, by ``sample_with_seed``.
     """
 
-    def __init__(self, objective: Objective, matroid, seed: int = 0,
-                 coin: Optional[Callable[[], int]] = None):
+    def __init__(self, objective: Objective, matroid):
         self.f = objective
         self.g = objective.thinned(0.5)
         self.state = OnlineState(self.g, matroid, ARRIVAL)
-        self._rng = random.Random(seed)
-        self.coin = coin or (lambda: self._rng.getrandbits(1))
-        self.coins: Dict[str, int] = {}
 
     def step(self, u: str) -> Decision:
-        d = commit_general_matroid(self.state, propose_general_matroid(self.state, u))
-        if d.accepted:
-            self.coins[u] = self.coin()
-        return d
-
-    def _kept(self, coins: Dict[str, int]) -> frozenset:
-        return frozenset(u for u in self.state.feasible if coins[u])
-
-    def feasible_set(self) -> frozenset:
-        return self._kept(self.coins)
+        return commit_general_matroid(self.state, propose_general_matroid(self.state, u))
 
     def sample_with_seed(self, seed: int) -> frozenset:
-        """The feasible output of a fresh run with this seed on the same
-        stream: one coin per accepted element, drawn in acceptance order."""
+        """The feasible output under the coins of ``random.Random(seed)``:
+        one coin per accepted element, drawn in acceptance order."""
         rng = random.Random(seed)
-        return self._kept({u: rng.getrandbits(1) for u in self.state.history})
+        coins = {u: rng.getrandbits(1) for u in self.state.history}
+        return frozenset(u for u in self.state.feasible if coins[u])
 
     def expected_feasible_value(self):
         """E over the coins of f(kept set): the half-thinned value of S."""
@@ -382,10 +373,11 @@ class NonmonotoneUniformRun:
     The auxiliary set holds up to rho*k elements of a k-uniform instance,
     weighted by the (1/rho)-thinned objective with a single value function.
     Slots are grouped into k blocks of rho; the feasible output reads one
-    uniformly pre-sampled slot per block.
+    uniformly chosen slot per block.  S and its slots never depend on the
+    choice, so it is drawn after the stream, by ``sample_with_seed``.
     """
 
-    def __init__(self, objective: Objective, k: int, seed: int = 0):
+    def __init__(self, objective: Objective, k: int):
         self.f = objective
         self.k = k
         self.rho = rho = 3
@@ -394,7 +386,6 @@ class NonmonotoneUniformRun:
         self.state = OnlineState(self.g, UniformMatroid(rho * k), ARRIVAL)
         self.slot_of: dict = {}
         self._free: List[int] = list(range(rho * k - 1, -1, -1))  # pop() yields lowest
-        self.block_choice = self._draw_blocks(seed)
 
     def step(self, u: str) -> Decision:
         st = self.state
@@ -404,18 +395,14 @@ class NonmonotoneUniformRun:
                                else self._free.pop())
         return d
 
-    def _draw_blocks(self, seed: int) -> List[int]:
-        rng = random.Random(seed)
-        return [rng.randrange(self.rho) for _ in range(self.k)]
-
     def sample_with_seed(self, seed: int) -> frozenset:
-        """The feasible output of a fresh run with this seed on the same
-        stream: S and its slots do not depend on the seed, only the block
-        choice does."""
-        return self.feasible_set(self._draw_blocks(seed))
+        """The feasible output under the block choice of
+        ``random.Random(seed)``: one slot in [0, rho) per block, block by block."""
+        rng = random.Random(seed)
+        return self.feasible_set([rng.randrange(self.rho) for _ in range(self.k)])
 
-    def feasible_set(self, choice: Optional[Sequence[int]] = None) -> frozenset:
-        choice = self.block_choice if choice is None else choice
+    def feasible_set(self, choice: Sequence[int]) -> frozenset:
+        """The occupants of slot ``choice[b]`` of each block b."""
         chosen = {block * self.rho + c for block, c in enumerate(choice)}
         return frozenset(u for u, slot in self.slot_of.items() if slot in chosen)
 

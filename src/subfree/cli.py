@@ -12,8 +12,10 @@ Subcommands:
                    rounding domination, sampling domination).
 
 Reports are JSON lines with sorted keys and round-trip float formatting, so
-byte-identical reruns with the same seed diff clean.  Exit codes: 0 ok,
-2 malformed instance, 3 invariant or ratio violation.
+byte-identical reruns with the same seed diff clean.  The seed is decided
+here, in the runner: the randomized states hold no generator, and each of
+their samples is drawn from a seed passed in.  Exit codes: 0 ok, 2 malformed
+instance or arguments, 3 invariant or ratio violation.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import statistics
 import sys
 import random
@@ -443,7 +444,7 @@ def run_fractional(instance: Instance, delta, seed: int, trials: int,
                    check: bool) -> Tuple[List[dict], dict]:
     if not isinstance(instance.matroid, PartitionMatroid):
         raise InstanceError("partition-frac needs a partition matroid")
-    state = FractionalState(instance.objective, instance.matroid, delta=delta, seed=seed)
+    state = FractionalState(instance.objective, instance.matroid, delta=delta)
 
     def play(i, u, opt):
         state.step(u)
@@ -460,7 +461,7 @@ def run_fractional(instance: Instance, delta, seed: int, trials: int,
                        else to_jsonable(state.soft_value_live())),
         "opt": to_jsonable(opt),
         "rounded_mean": rounded_mean,
-        "rounded_once": sorted(state.round_online()),
+        "rounded_once": sorted(state.round_with_seed(seed)),
     }
     return records, final
 
@@ -468,7 +469,7 @@ def run_fractional(instance: Instance, delta, seed: int, trials: int,
 def run_nonmono(instance: Instance, kind: str, seed: int, trials: int,
                 check: bool) -> Tuple[List[dict], dict]:
     if kind == "nonmono-general":
-        run = NonmonotoneGeneralRun(instance.objective, instance.matroid, seed=seed)
+        run = NonmonotoneGeneralRun(instance.objective, instance.matroid)
         guarantee = 1.0 / 16.0
     else:
         m = instance.matroid
@@ -480,7 +481,7 @@ def run_nonmono(instance: Instance, kind: str, seed: int, trials: int,
         else:
             raise InstanceError(
                 "nonmono-uniform needs a uniform matroid or a partition matroid of one part")
-        run = NonmonotoneUniformRun(instance.objective, k, seed=seed)
+        run = NonmonotoneUniformRun(instance.objective, k)
         guarantee = run.alpha.ratio * (1 - 1 / run.rho)
 
     def play(i, u, opt):
@@ -499,7 +500,7 @@ def run_nonmono(instance: Instance, kind: str, seed: int, trials: int,
                        else to_jsonable(run.expected_feasible_value())),
         "trial_mean_f": trial_mean_f,
         "opt": to_jsonable(opt),
-        "selected_once": sorted(run.feasible_set()),
+        "selected_once": sorted(run.sample_with_seed(seed)),
     }
     return records, final
 
@@ -548,15 +549,11 @@ def run_bipartite(instance: Instance, check: bool, c=2) -> Tuple[List[dict], dic
 # -- subcommands -------------------------------------------------------------------
 
 
-def _default_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("SUBFREE_SEED", "0"))
-
-
 def cmd_run(args, out) -> int:
+    if args.trials < 0:
+        raise InstanceError(f"--trials must be 0 or more, not {args.trials}")
     instance = Instance.load(args.instance)
-    seed = _default_seed(args)
+    seed = args.seed
     check = args.check_every_round
     alg = args.alg
     try:
@@ -706,14 +703,16 @@ def _verify_sampling(rng: random.Random, cases: int, out, seed: int) -> int:
 def _verify_rounding(rng: random.Random, cases: int, out, seed: int) -> int:
     failures = 0
     delta = Fraction(1, 25)
+    cases = min(cases, 40)
     for case in range(cases):
         f, m, order = random_instance(rng, rng.randint(4, 6), matroid_kind="partition")
-        st = FractionalState(f, m, delta=delta, seed=case)
+        st = FractionalState(f, m, delta=delta)
         for u in order:
             st.step(u)
         target = st.soft_value_live()
         n = 2000
-        vals = _trial_values(f, st.roundings(0, n))
+        phase_seed = seed * 40 + case  # distinct per (seed, case) at 40 cases or fewer
+        vals = _trial_values(f, st.roundings(phase_seed, n))
         mean = statistics.fmean(vals)
         sigma = statistics.pstdev(vals) / math.sqrt(n) if n else 0.0
         ok = mean >= target - 3 * sigma - 1e-9
@@ -723,8 +722,8 @@ def _verify_rounding(rng: random.Random, cases: int, out, seed: int) -> int:
             failures += 1
             out.write(canonical_dumps({
                 "record": "violation", "suite": "rounding", "seed": seed, "case": case,
-                "delta": str(delta), "mean": mean, "target": to_jsonable(target),
-                "sigma": sigma, "fhat_slack": to_jsonable(slack),
+                "phase_seed": phase_seed, "delta": str(delta), "mean": mean,
+                "target": to_jsonable(target), "sigma": sigma, "fhat_slack": to_jsonable(slack),
                 "instance": Instance(order, objective=f, matroid=m).to_json(),
             }) + "\n")
     out.write(canonical_dumps({
@@ -734,7 +733,9 @@ def _verify_rounding(rng: random.Random, cases: int, out, seed: int) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    seed = _default_seed(args)
+    if args.cases < 0:
+        raise InstanceError(f"--cases must be 0 or more, not {args.cases}")
+    seed = args.seed
     failures = 0
     suites = ("lemmas", "rounding", "sampling") if args.suite == "all" else (args.suite,)
     for suite in suites:
@@ -744,7 +745,7 @@ def cmd_verify(args, out) -> int:
         elif suite == "sampling":
             failures += _verify_sampling(rng, args.cases, out, seed)
         elif suite == "rounding":
-            failures += _verify_rounding(rng, min(args.cases, 40), out, seed)
+            failures += _verify_rounding(rng, args.cases, out, seed)
         else:
             raise InstanceError(f"unknown suite {suite!r}")
     return EXIT_OK if failures == 0 else EXIT_VIOLATION
@@ -761,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
         "nonmono-general", "nonmono-uniform", "best-singleton",
     ])
     run.add_argument("--instance", required=True)
-    run.add_argument("--seed", type=int, default=None)
+    run.add_argument("--seed", type=int, default=0)
     run.add_argument("--c", default=None, help="the exchange rule's c > 1 (default 2)")
     run.add_argument("--delta", default="0.02")
     run.add_argument("--check-every-round", action="store_true")
@@ -786,7 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="randomized property suites")
     ver.add_argument("--suite", default="all",
                      choices=["lemmas", "rounding", "sampling", "all"])
-    ver.add_argument("--seed", type=int, default=None)
+    ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--cases", type=int, default=200,
                      help="cases per suite (the rounding suite caps at 40)")
     return p

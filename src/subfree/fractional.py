@@ -9,11 +9,13 @@ ties).  A unit whose weight would make it the immediate eviction target is
 not added at all; that is the discrete stand-in for the continuous
 simultaneous drain, and it also bounds the work per arrival.
 
-Rounding pre-samples, per part with capacity ``c``, ``c`` points uniformly
-in the part's knapsack ``(0, c]``.  The rounded set consists of the
-elements owning a slot interval that contains a sampled point, which is
-feasible by construction.  ``round_with_seed(s)`` is one rounding from its
-own generator ``random.Random(s)``; ``roundings(s, n)`` is a phase of ``n``
+Rounding samples, per part with capacity ``c``, ``c`` points uniformly in
+the part's knapsack ``(0, c]``.  The rounded set consists of the elements
+owning a slot interval that contains a sampled point, which is feasible by
+construction.  The state holds no generator: the points never depend on the
+stream, so every rounding draws them after it, from a seed its caller
+passes.  ``round_with_seed(s)`` is one rounding from its own generator
+``random.Random(s)``; ``roundings(s, n)`` is a phase of ``n``
 roundings drawn in turn from one such generator, so its first rounding is
 ``round_with_seed(s)`` and the phase seeds a generator once, not ``n``
 times.  The state does not change during a phase, so the phase reads each
@@ -32,7 +34,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .matroid import PartitionMatroid
 from .objective import Objective
@@ -62,7 +64,6 @@ class FractionalState:
         objective: Objective,
         matroid: PartitionMatroid,
         delta=None,
-        seed: int = 0,
     ):
         from .algorithms import solve_alpha  # local import avoids a cycle
 
@@ -100,7 +101,6 @@ class FractionalState:
         self.w_hist: Dict[str, float] = {l: 0.0 for l in self.parts}
         self._max_unit_w: Dict[str, float] = {l: 0.0 for l in self.parts}
         self._seq = 0
-        self.z_points = self._draw_points(random.Random(seed))
 
     # -- mass views -------------------------------------------------------
 
@@ -186,22 +186,16 @@ class FractionalState:
 
     def slot_of_point(self, t: float, part: str) -> int:
         # slots are ((s)delta, (s+1)delta]; points live in (0, cap];
-        # round_online inlines this per point, and roundings folds the clamp
-        # into its padded owner lists
+        # roundings folds the clamp into its padded owner lists
         idx = int(math.ceil(t / float(self.delta))) - 1
         return min(max(idx, 0), self.slots_per_part[part] - 1)
 
-    def round_online(self, points: Optional[Dict[str, List[float]]] = None) -> frozenset:
-        """Elements whose slot interval contains a pre-sampled point."""
-        points = self.z_points if points is None else points
-        d, ceil = float(self.delta), math.ceil
+    def round_online(self, points: Dict[str, List[float]]) -> frozenset:
+        """Elements whose slot interval contains one of ``points``."""
         chosen: set = set()
         for part, pts in points.items():
-            occupied = self.live[part]
-            last = self.slots_per_part[part] - 1
             for t in pts:
-                slot = ceil(t / d) - 1  # slot_of_point, inlined
-                unit = occupied.get(last if slot > last else slot if slot > 0 else 0)
+                unit = self.live[part].get(self.slot_of_point(t, part))
                 if unit is not None:
                     chosen.add(unit.element)
         return frozenset(chosen)

@@ -218,7 +218,7 @@ def test_criterion_5_fractional_and_rounding():
                 {u: rng.choice(parts) for u in ground},
                 {p: rng.randint(1, 2) for p in parts},
             )
-            st = FractionalState(f, m, delta=Fraction(1, 50), seed=trial)
+            st = FractionalState(f, m, delta=Fraction(1, 50))
             order = list(ground)
             rng.shuffle(order)
             for u in order:
@@ -298,7 +298,7 @@ def test_criterion_10_nonmonotone_rules():
             from subfree.oracle import random_matroid
 
             m = random_matroid(rng, sorted(table.ground))
-            run = NonmonotoneGeneralRun(table, m, seed=trial)
+            run = NonmonotoneGeneralRun(table, m)
             for u in order:
                 run.step(u)
             _, opt = brute_force_opt(table, m, table.ground)
@@ -310,7 +310,7 @@ def test_criterion_10_nonmonotone_rules():
             table = random_submodular_table(rng, rng.randint(4, 8), monotone=False)
             order = sorted(table.ground)
             rng.shuffle(order)
-            run = NonmonotoneUniformRun(table, k=k, seed=trial)
+            run = NonmonotoneUniformRun(table, k=k)
             for u in order:
                 run.step(u)
             _, opt = brute_force_opt(table, UniformMatroid(k), table.ground)

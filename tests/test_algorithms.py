@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -558,7 +559,7 @@ def test_commits_leave_a_rejected_proposal_uncommitted():
 
 def test_nonmono_general_rejects_negative_marginal():
     table = random_submodular_table(random.Random(4), 5, monotone=False)
-    run = NonmonotoneGeneralRun(table, UniformMatroid(3), seed=1)
+    run = NonmonotoneGeneralRun(table, UniformMatroid(3))
     order = sorted(table.ground)
     seen_negative = False
     for u in order:
@@ -573,13 +574,14 @@ def test_nonmono_general_coin_one_matches_deterministic_over_g():
     rng = random.Random(13)
     f = random_coverage(rng, 8)
     m = UniformMatroid(2)
-    run = NonmonotoneGeneralRun(f, m, coin=lambda: 1)
+    model = CoinModel(f, m, coin=lambda: 1)
     order = sorted(f.elements())
     rng.shuffle(order)
     g = ThinnedObjective(f, 0.5)
     for u in order:
-        run.step(u)
-    assert run.feasible_set() == frozenset(run.state.feasible)
+        model.step(u)
+    run = model.run
+    assert model.feasible_set() == frozenset(run.state.feasible)
     # the auxiliary trajectory is driven by g-arrival weights only
     assert run.state.f_S() == pytest.approx(g.value(frozenset(run.state.feasible)))
 
@@ -587,27 +589,27 @@ def test_nonmono_general_coin_one_matches_deterministic_over_g():
 def test_nonmono_general_expected_value_is_half_thinning():
     rng = random.Random(21)
     table = random_submodular_table(rng, 5, monotone=False)
-    run = NonmonotoneGeneralRun(table, UniformMatroid(2), seed=3)
+    run = NonmonotoneGeneralRun(table, UniformMatroid(2))
     order = sorted(table.ground)
     rng.shuffle(order)
     for u in order:
         run.step(u)
     exact = sampled_value_p(table, frozenset(run.state.feasible), 0.5)
     assert run.expected_feasible_value() == pytest.approx(exact)
-    # and the sampled coin run only ever keeps a subset of the auxiliary set
-    assert run.feasible_set() <= frozenset(run.state.feasible)
+    # and a sample of the coins only ever keeps a subset of the auxiliary set
+    assert all(run.sample_with_seed(s) <= frozenset(run.state.feasible) for s in range(8))
 
 
 def test_nonmono_uniform_feasible_size_and_blocks():
     rng = random.Random(8)
     table = random_submodular_table(rng, 7, monotone=False)
-    run = NonmonotoneUniformRun(table, k=2, seed=5)
+    run = NonmonotoneUniformRun(table, k=2)
     order = sorted(table.ground)
     rng.shuffle(order)
     for u in order:
         run.step(u)
     assert len(run.state.feasible) <= 6  # rho * k
-    assert len(run.feasible_set()) <= 2
+    assert all(len(run.sample_with_seed(s)) <= 2 for s in range(8))
     for choice in ([0, 0], [1, 2], [2, 1]):
         assert len(run.feasible_set(choice)) <= 2
 
@@ -619,7 +621,7 @@ def test_nonmono_uniform_eviction_path_and_slot_reuse():
     for trial in range(10):
         rng = random.Random(trial)
         f, order = random_escalating_instance(rng, 12)
-        run = NonmonotoneUniformRun(f, k=2, seed=trial)  # auxiliary capacity 6
+        run = NonmonotoneUniformRun(f, k=2)  # auxiliary capacity 6
         for u in order:
             d = run.step(u)  # raises if the replacement factor is violated
             if d.accepted and d.evicted is not None:
@@ -656,7 +658,7 @@ def test_nonmono_uniform_expected_ratio_bound():
     for trial in range(10):
         rng = random.Random(4000 + trial)
         table = random_submodular_table(rng, 7, monotone=False)
-        run = NonmonotoneUniformRun(table, k=4, seed=trial)
+        run = NonmonotoneUniformRun(table, k=4)
         order = sorted(table.ground)
         rng.shuffle(order)
         for u in order:
@@ -665,7 +667,41 @@ def test_nonmono_uniform_expected_ratio_bound():
         assert run.expected_feasible_value() >= bound * opt - 1e-9
 
 
-# -- seeded samples against a fresh run ------------------------------------------
+# -- seeded samples against the definitional randomized runs ---------------------
+
+
+class CoinModel:
+    """The general rule as defined: a fair coin tossed at each accept, the
+    output the members of S whose coin came up 1."""
+
+    def __init__(self, f, m, coin):
+        self.run = NonmonotoneGeneralRun(f, m)
+        self.coin = coin
+        self.coins = {}
+
+    def step(self, u):
+        d = self.run.step(u)
+        if d.accepted:
+            self.coins[u] = self.coin()
+        return d
+
+    def feasible_set(self):
+        return frozenset(u for u in self.run.state.feasible if self.coins[u])
+
+
+class BlockModel:
+    """The uniform rule as defined: one slot per block chosen before the
+    stream, the output the occupants of the chosen slots."""
+
+    def __init__(self, f, k, rng):
+        self.run = NonmonotoneUniformRun(f, k)
+        self.choice = [rng.randrange(self.run.rho) for _ in range(k)]
+
+    def step(self, u):
+        return self.run.step(u)
+
+    def feasible_set(self):
+        return self.run.feasible_set(self.choice)
 
 
 def _nonmono_streams():
@@ -682,18 +718,18 @@ def _nonmono_streams():
         yield random_escalating_instance(random.Random(trial), 9)
 
 
-def _fresh_run(make, order, seed):
-    """The definitional path: a new run with this seed replays the stream."""
-    run = make(seed)
+def _replayed(run, order):
     for u in order:
         run.step(u)
     return run
 
 
-def _assert_samples_match_fresh_runs(make, order):
-    run = _fresh_run(make, order, 0)
+def _assert_samples_match_models(run, model, order):
+    """``run.sample_with_seed(s)`` after the stream is the output of
+    ``model(s)``, a definitional run that draws from ``Random(s)`` as it goes."""
+    _replayed(run, order)
     for seed in range(8):
-        assert run.sample_with_seed(seed) == _fresh_run(make, order, seed).feasible_set()
+        assert run.sample_with_seed(seed) == _replayed(model(seed), order).feasible_set()
     return len(run.state.history) - len(run.state.feasible)
 
 
@@ -703,8 +739,10 @@ def test_nonmono_general_seeded_sample_matches_fresh_run():
         halves = PartitionMatroid({u: f"p{i % 2}" for i, u in enumerate(sorted(order))},
                                   {"p0": 1, "p1": 2})
         for m in (UniformMatroid(2), halves):
-            evictions += _assert_samples_match_fresh_runs(
-                lambda s: NonmonotoneGeneralRun(f, m, seed=s), order)
+            evictions += _assert_samples_match_models(
+                NonmonotoneGeneralRun(f, m),
+                lambda s: CoinModel(f, m, functools.partial(random.Random(s).getrandbits, 1)),
+                order)
     assert evictions > 10
 
 
@@ -712,6 +750,7 @@ def test_nonmono_uniform_seeded_sample_matches_fresh_run():
     evictions = 0
     for f, order in _nonmono_streams():
         for k in (1, 2):
-            evictions += _assert_samples_match_fresh_runs(
-                lambda s: NonmonotoneUniformRun(f, k=k, seed=s), order)
+            evictions += _assert_samples_match_models(
+                NonmonotoneUniformRun(f, k=k), lambda s: BlockModel(f, k, random.Random(s)),
+                order)
     assert evictions > 10

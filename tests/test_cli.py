@@ -12,7 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 import subfree.cli as cli
 from subfree.adversaries import make_driver, run_adversary
-from subfree.algorithms import dispatch_uniform, solve_alpha
+from subfree.algorithms import (
+    NonmonotoneGeneralRun,
+    NonmonotoneUniformRun,
+    dispatch_uniform,
+    solve_alpha,
+)
 from subfree.cli import (
     EXIT_INSTANCE,
     EXIT_OK,
@@ -941,20 +946,28 @@ def test_verify_rounding_violation_carries_a_reproducer(monkeypatch):
 
     check_f_vs_fhat = cli.check_f_vs_fhat
     monkeypatch.setattr(cli, "check_f_vs_fhat", failing)
-    code, text = run_main(["verify", "--suite", "rounding", "--cases", "3", "--seed", "7"])
-    assert code == EXIT_VIOLATION
-    records = [json.loads(line) for line in text.splitlines()]
-    assert records[-1] == {"record": "suite", "suite": "rounding", "cases": 3, "failures": 3}
-    for case, rec in enumerate(records[:-1]):
-        assert (rec["record"], rec["seed"], rec["case"]) == ("violation", 7, case)
-        inst = Instance.from_json(rec["instance"])
-        st = FractionalState(inst.objective, inst.matroid, delta=Fraction(rec["delta"]),
-                             seed=rec["case"])
-        for u in inst.arrival_order:
-            st.step(u)
-        values = [inst.objective.value(chosen) for chosen in st.roundings(0, 2000)]
-        assert statistics.fmean(values) == rec["mean"]
-        assert st.soft_value_live() == rec["target"]
+    phase_seeds = set()
+    for seed in (7, 8):
+        code, text = run_main(["verify", "--suite", "rounding", "--cases", "3",
+                               "--seed", str(seed)])
+        assert code == EXIT_VIOLATION
+        records = [json.loads(line) for line in text.splitlines()]
+        assert records[-1] == {"record": "suite", "suite": "rounding", "cases": 3, "failures": 3}
+        rng = random.Random(seed)  # the suite's instance generator draws only the instances
+        for case, rec in enumerate(records[:-1]):
+            assert (rec["record"], rec["seed"], rec["case"]) == ("violation", seed, case)
+            f, m, order = random_instance(rng, rng.randint(4, 6), matroid_kind="partition")
+            assert rec["instance"] == Instance(order, objective=f, matroid=m).to_json()
+            inst = Instance.from_json(rec["instance"])
+            st = FractionalState(inst.objective, inst.matroid, delta=Fraction(rec["delta"]))
+            for u in inst.arrival_order:
+                st.step(u)
+            values = [inst.objective.value(chosen)
+                      for chosen in st.roundings(rec["phase_seed"], 2000)]
+            assert statistics.fmean(values) == rec["mean"]
+            assert st.soft_value_live() == rec["target"]
+            phase_seeds.add(rec["phase_seed"])
+    assert len(phase_seeds) == 6  # each (seed, case) draws its own phase
 
 
 @pytest.mark.parametrize("seed", range(1, 11))
@@ -985,14 +998,59 @@ def test_rounded_mean_is_the_mean_over_one_generator_seeded_seed_plus_one():
     for example, trials in (("coverage_small", 20000), ("coverage_wide", 2000)):
         inst = Instance.load(str(EXAMPLES / f"{example}.json"))
         _, final = cli.run_fractional(inst, None, seed, trials, check=False)
-        st = FractionalState(inst.objective, inst.matroid, seed=seed)
+        st = FractionalState(inst.objective, inst.matroid)
         for u in inst.arrival_order:
             st.step(u)
         values = [inst.objective.value(chosen) for chosen in online_roundings(st, seed + 1, trials)]
         assert final["rounded_mean"] == statistics.fmean(values), example
-        assert final["rounded_once"] == sorted(st.round_online())
+        assert final["rounded_once"] == sorted(st.round_with_seed(seed))
         _, once = cli.run_fractional(inst, None, seed, 1, check=False)
         assert once["rounded_mean"] == inst.objective.value(st.round_with_seed(seed + 1))
+
+
+def _stepped_randomized_states(inst):
+    """Each randomized rule's state, built with no seed and stepped through
+    the stream, with the sampler that draws its one-seed output."""
+    frac = FractionalState(inst.objective, inst.matroid, delta=Fraction(1, 50))
+    general = NonmonotoneGeneralRun(inst.objective, inst.matroid)
+    (k,) = inst.matroid.capacity.values()
+    uniform = NonmonotoneUniformRun(inst.objective, k)
+    for u in inst.arrival_order:
+        for st in (frac, general, uniform):
+            st.step(u)
+    return {"partition-frac": ("rounded_once", frac.round_with_seed),
+            "nonmono-general": ("selected_once", general.sample_with_seed),
+            "nonmono-uniform": ("selected_once", uniform.sample_with_seed)}
+
+
+def test_once_sets_are_the_seeded_samples_of_seedless_states():
+    path = EXAMPLES / "coverage_wide.json"
+    inst = Instance.load(str(path))
+    for alg, (field, sample) in _stepped_randomized_states(inst).items():
+        seen = set()
+        for seed in range(8):
+            code, text = run_main(["run", "--alg", alg, "--instance", str(path),
+                                   "--seed", str(seed), "--trials", "1"])
+            assert code == EXIT_OK
+            final = json.loads(text.splitlines()[-1])
+            assert final[field] == sorted(sample(seed)), (alg, seed)
+            if field == "selected_once":  # one trial draws from the seed itself
+                assert final["trial_mean_f"] == inst.objective.value(sample(seed))
+            seen.add(tuple(final[field]))
+        assert len(seen) > 1, alg  # the seed moves the sample
+
+
+@pytest.mark.parametrize("argv", [
+    *(["run", "--alg", alg, "--trials", "-1", "--instance",
+       str(EXAMPLES / "coverage_small.json")]
+      for alg in ("partition-frac", "nonmono-general", "nonmono-uniform")),
+    *(["verify", "--suite", suite, "--cases", "-1"]
+      for suite in ("lemmas", "rounding", "sampling", "all")),
+], ids=lambda argv: f"{argv[0]}-{argv[2]}")
+def test_negative_counts_exit_2(capsys, argv):
+    assert run_main(argv) == (EXIT_INSTANCE, "")
+    flag = "--trials" if argv[0] == "run" else "--cases"
+    assert capsys.readouterr().err == f"error: {flag} must be 0 or more, not -1\n"
 
 
 # -- trials ----------------------------------------------------------------------
@@ -1130,13 +1188,13 @@ def test_cross_process_determinism_under_hash_randomization(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_env_seed_default(tmp_path, monkeypatch):
-    from subfree.oracle import random_submodular_table
-
-    table = random_submodular_table(random.Random(1), 5, monotone=False)
-    inst = Instance(sorted(table.ground), objective=table, matroid=UniformMatroid(2))
-    path = write_instance(tmp_path, inst)
+def test_seed_defaults_to_zero(monkeypatch):
+    # the seed has one source, the --seed flag; no environment variable sets it
     monkeypatch.setenv("SUBFREE_SEED", "17")
-    _, text1 = run_main(["run", "--alg", "nonmono-general", "--instance", path])
-    final1 = json.loads(text1.splitlines()[-1])
-    assert final1["seed"] == 17
+    path = str(EXAMPLES / "coverage_small.json")
+    for argv in (["run", "--alg", "nonmono-general", "--instance", path, "--trials", "3"],
+                 ["verify", "--suite", "rounding", "--cases", "2"]):
+        assert run_main(argv) == run_main(argv + ["--seed", "0"])
+    final = json.loads(run_main(["run", "--alg", "partition-frac", "--instance", path])[1]
+                       .splitlines()[-1])
+    assert final["seed"] == 0

@@ -359,7 +359,7 @@ def test_min_member_heaps_match_the_scan_under_the_randomized_uniform_run(kind):
     for trial in range(10):
         rng = random.Random(900 + trial)
         f, order = tied_coverage(rng, 12, kind)
-        run = NonmonotoneUniformRun(f, k=2, seed=trial)  # auxiliary capacity 6
+        run = NonmonotoneUniformRun(f, k=2)  # auxiliary capacity 6
         audit = HeapAudit(run.alpha)
         for u in order:
             evictions += run.step(u).evicted is not None
@@ -376,7 +376,7 @@ def test_min_member_heaps_match_the_scan_when_a_late_member_becomes_the_least(ki
     for trial in range(10):
         rng = random.Random(900 + trial)
         f, order = tied_coverage(rng, 30, kind, growth=1.44)
-        run = NonmonotoneUniformRun(f, k=2, seed=trial)
+        run = NonmonotoneUniformRun(f, k=2)
         st = run.state
         audit = HeapAudit(run.alpha)
         moved = set()  # members whose weight under the other view differed on accept
@@ -420,11 +420,11 @@ def test_min_member_heaps_match_the_scan_under_the_randomized_exchange_run(kind)
         rng = random.Random(1200 + trial)
         f, order = tied_coverage(rng, 12, kind)
         k = 3 + trial % 2
-        plain = NonmonotoneGeneralRun(f, UniformMatroid(k), seed=trial)
+        plain = NonmonotoneGeneralRun(f, UniformMatroid(k))
         for u in order:
             plain.step(u)
         assert plain.state._heap is not None  # the rule's own query built the heap
-        run = NonmonotoneGeneralRun(f, UniformMatroid(k), seed=trial)
+        run = NonmonotoneGeneralRun(f, UniformMatroid(k))
         assert run.state.view == ARRIVAL
         audit = HeapAudit(None)
         for u in order:
@@ -678,11 +678,11 @@ def test_randomized_runs_on_closed_forms_match_enumeration(shape, seed, rule):
     order = sorted(f.elements())
     rng.shuffle(order)
     if rule == "general":
-        fast, slow = (NonmonotoneGeneralRun(g, UniformMatroid(3), seed=seed)
+        fast, slow = (NonmonotoneGeneralRun(g, UniformMatroid(3))
                       for g in (f, OpaqueObjective(f)))
         expected = lambda run: sampled_value_p(f, run.state.feasible, 0.5)
     else:
-        fast, slow = (NonmonotoneUniformRun(g, k=2, seed=seed) for g in (f, OpaqueObjective(f)))
+        fast, slow = (NonmonotoneUniformRun(g, k=2) for g in (f, OpaqueObjective(f)))
         expected = blocks_by_enumeration
     for u in order:
         df, ds = fast.step(u), slow.step(u)

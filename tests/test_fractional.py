@@ -242,7 +242,7 @@ def test_weakest_unit_ties_drain_oldest_first():
 
 
 @given(den=hs.sampled_from([10, 25, 50]), cap=hs.integers(1, 3), data=hs.data())
-def test_inlined_slot_lookup_matches_slot_of_point(den, cap, data):
+def test_round_online_looks_up_the_slot_of_each_point(den, cap, data):
     f = Linear({"a": 1})
     st = FractionalState(f, PartitionMatroid({"a": "p"}, {"p": cap}), delta=Fraction(1, den))
     n = st.slots_per_part["p"]
@@ -263,7 +263,7 @@ def test_inlined_slot_lookup_matches_slot_of_point(den, cap, data):
 def test_round_online_sole_occupant_always_selected():
     f = Linear({"a": 9.0})
     m = PartitionMatroid({"a": "p"}, {"p": 1})
-    st = FractionalState(f, m, delta=Fraction(1, 10), seed=4)
+    st = FractionalState(f, m, delta=Fraction(1, 10))
     while len(st.live["p"]) < st.slots_per_part["p"]:  # fill (0,1] by hand
         st._append_unit("a", "p", 1.0, [])
     for seed in range(50):
@@ -274,7 +274,7 @@ def test_round_online_empty_state():
     f = Linear({"a": 1.0})
     m = PartitionMatroid({"a": "p"}, {"p": 1})
     st = FractionalState(f, m)
-    assert st.round_online() == frozenset()
+    assert st.round_online({"p": [0.5, 1.0]}) == st.round_with_seed(0) == frozenset()
 
 
 def test_round_online_respects_partition_feasibility():
@@ -302,7 +302,7 @@ def _stepped_states():
         m = partition_for(order, rng, max_parts=3, max_cap=3)
         if trial == 9:
             m = PartitionMatroid(m.part_of, {"idle": 2, **m.capacity})
-        st = FractionalState(f, m, delta=Fraction(1, 17 if trial == 8 else 10), seed=trial)
+        st = FractionalState(f, m, delta=Fraction(1, 17 if trial == 8 else 10))
         rng.shuffle(order)
         for u in order:
             st.step(u)
@@ -348,7 +348,7 @@ def _binary_delta_state(den):
     f = random_coverage(rng, 8)
     order = sorted(f.elements())
     st = FractionalState(f, partition_for(order, rng, max_parts=3, max_cap=3),
-                         delta=Fraction(1, den), seed=den)
+                         delta=Fraction(1, den))
     rng.shuffle(order)
     for u in order:
         st.step(u)

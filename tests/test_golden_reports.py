@@ -15,7 +15,9 @@ at a c that is not an integer (c = 3/2 and 5/2) on Fraction and int
 weights, and the fractional rule's rounding phase at scale: 20,000 trials
 on coverage_small, whose roundings repeat, and 2,000 on coverage_wide,
 where 43 owners share the 60 slots of a part and almost every rounding is
-distinct.
+distinct.  The three randomized rules also run at ``--seed 9 --trials 0``,
+which pins each run's one sample (``rounded_once`` or ``selected_once``)
+with no trials phase.
 """
 
 import contextlib
@@ -83,6 +85,12 @@ COMMANDS = {
         "run", "--alg", "partition-frac", "--seed", "3", "--trials", trials,
         "--instance", str(ROOT / f"docs/examples/{example}.json")]
        for example, trials in (("coverage_small", "20000"), ("coverage_wide", "2000"))},
+    **{f"{example}.{alg}.t0": [
+        "run", "--alg", alg, "--seed", "9", "--trials", "0", "--check-every-round",
+        "--instance", str(ROOT / f"docs/examples/{example}.json")]
+       for example, alg in (("coverage_small", "partition-frac"),
+                            ("coverage_small", "nonmono-general"),
+                            ("interval_small", "nonmono-uniform"))},
 }
 
 
