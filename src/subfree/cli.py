@@ -409,12 +409,12 @@ def _rule(alg: str, matroid: Matroid, c=2) -> Tuple[Callable, Optional[float]]:
     best-singleton on a uniform matroid of rank k."""
     if alg == "general":
         return (lambda st, u: step_general_matroid(st, u, c)), float(exchange_ratio(c))
+    uniform = isinstance(matroid, UniformMatroid)
     if alg == "best-singleton":
-        return step_best_singleton, (
-            1.0 / matroid.k if isinstance(matroid, UniformMatroid) else None)
-    if alg == "k-uniform":
-        return dispatch_uniform(matroid.k)
-    raise InstanceError(f"unknown algorithm {alg!r}")
+        return step_best_singleton, (1.0 / matroid.k if uniform else None)
+    if not uniform:  # alg is k-uniform
+        raise InstanceError("k-uniform needs a uniform matroid")
+    return dispatch_uniform(matroid.k)
 
 
 def run_deterministic(instance: Instance, step: Callable, guarantee: Optional[float],
@@ -548,51 +548,85 @@ def run_bipartite(instance: Instance, check: bool, c=2) -> Tuple[List[dict], dic
 
 # -- subcommands -------------------------------------------------------------------
 
+# The flags that each choice of ``run --alg`` and ``adversary --family`` reads,
+# with their defaults; a default of None makes the flag required.  The parser
+# leaves a flag None when it is not given, so that one given to a choice that
+# does not read it is refused, and reports and reproducers echo exactly the
+# flags read.
+_SAMPLED = {"seed": 0, "trials": 1}
+RUN_FLAGS: Dict[str, dict] = {
+    "k-uniform": {}, "general": {"c": "2"}, "partition-frac": {"delta": "0.02", **_SAMPLED},
+    "bipartite": {"c": "2"}, "nonmono-general": _SAMPLED, "nonmono-uniform": _SAMPLED,
+    "best-singleton": {},
+}
+FAMILY_FLAGS: Dict[str, dict] = {
+    "uniform": {"eps": "0.05", "delta": "0.2", "k": None},
+    "partition-monotone": {}, "partition-general": {},
+}
+
+
+def _readers(table: Dict[str, dict], name: str) -> str:
+    """The choices that read flag ``name``, as "a, b and c"."""
+    readers = [choice for choice, flags in table.items() if name in flags]
+    return " and ".join(filter(None, [", ".join(readers[:-1]), readers[-1]]))
+
+
+def _add_flag(parser, name: str, what: str, choice: str, table: Dict[str, dict], type=str):
+    default = next(flags[name] for flags in table.values() if name in flags)
+    read_by = f"--{choice} {_readers(table, name)} only"
+    parser.add_argument(f"--{name}", type=type, help=f"{what}; {read_by}, "
+                        + ("required" if default is None else f"default {default}"))
+
+
+def _flags_read(args, choice: str, table: Dict[str, dict]) -> dict:
+    """Each flag that the ``--{choice}`` of ``args`` reads, at its given value
+    or its default; a flag given to a choice that does not read it is an error."""
+    chosen = getattr(args, choice)
+    for name in dict.fromkeys(name for flags in table.values() for name in flags):
+        if name not in table[chosen] and getattr(args, name) is not None:
+            raise InstanceError(
+                f"--{name} applies to --{choice} {_readers(table, name)}, not {chosen}")
+    flags = {}
+    for name, default in table[chosen].items():
+        value = flags[name] = default if getattr(args, name) is None else getattr(args, name)
+        if value is None:
+            raise InstanceError(f"--{choice} {chosen} needs --{name}")
+    return flags
+
 
 def cmd_run(args, out) -> int:
-    if args.trials < 0:
-        raise InstanceError(f"--trials must be 0 or more, not {args.trials}")
+    alg, check = args.alg, args.check_every_round
+    flags = _flags_read(args, "alg", RUN_FLAGS)
+    if flags.get("trials", 0) < 0:
+        raise InstanceError(f"--trials must be 0 or more, not {flags['trials']}")
     instance = Instance.load(args.instance)
-    seed = args.seed
-    check = args.check_every_round
-    alg = args.alg
-    try:
-        return _cmd_run_inner(instance, args, seed, check, alg, out)
-    except InvariantViolation:
-        reproducer = {"alg": alg, "seed": seed, "instance": instance.to_json()}
-        print(f"reproducer: {canonical_dumps(reproducer)}", file=sys.stderr)
-        raise
-
-
-def _cmd_run_inner(instance, args, seed, check, alg, out) -> int:
-    params: Dict[str, object] = {}
-    if args.c is not None and alg not in ("general", "bipartite"):
-        raise InstanceError(f"--c applies to --alg general and bipartite, not {alg}")
-    c = _exact("2" if args.c is None else args.c)
     if alg != "bipartite" and instance.agents:
         raise InstanceError(f"{alg} needs an objective and a matroid, not an agents list")
-    if alg == "k-uniform":
-        if not isinstance(instance.matroid, UniformMatroid):
-            raise InstanceError("k-uniform needs a uniform matroid")
-        k = instance.matroid.k
-        params = {"k": k, "routed": "best-singleton" if k <= 3 else "capacity-rule"}
-    elif alg in ("general", "bipartite"):
-        params = {"c": float(c)}
-    if alg in ("k-uniform", "general", "best-singleton"):
-        records, final = run_deterministic(instance, *_rule(alg, instance.matroid, c), check)
-    elif alg == "partition-frac":
-        records, final = run_fractional(
-            instance, _exact(str(args.delta)), seed, args.trials, check
-        )
-        params = {"delta": args.delta}
-    elif alg in ("nonmono-general", "nonmono-uniform"):
-        records, final = run_nonmono(instance, alg, seed, args.trials, check)
-        params = {"trials": args.trials}
-    elif alg == "bipartite":
-        records, final = run_bipartite(instance, check, c)
-    else:
-        raise InstanceError(f"unknown algorithm {alg!r}")
-    final.update({"alg": alg, "params": params, "seed": seed})
+    params = dict(flags)
+    seed = params.pop("seed", None)
+    if "c" in params:  # exact here, a float in the report
+        params["c"] = _exact(params["c"])
+    try:
+        if alg == "partition-frac":
+            records, final = run_fractional(
+                instance, _exact(params["delta"]), seed, params["trials"], check)
+        elif alg in ("nonmono-general", "nonmono-uniform"):
+            records, final = run_nonmono(instance, alg, seed, params["trials"], check)
+        elif alg == "bipartite":
+            records, final = run_bipartite(instance, check, params["c"])
+        else:
+            step, guarantee = _rule(alg, instance.matroid, params.get("c"))
+            if alg == "k-uniform":  # the instance's matroid decides these, not a flag
+                k = instance.matroid.k
+                params = {"k": k, "routed": "best-singleton" if k <= 3 else "capacity-rule"}
+            records, final = run_deterministic(instance, step, guarantee, check)
+    except InvariantViolation:
+        reproducer = {"alg": alg, **flags, "instance": instance.to_json()}
+        print(f"reproducer: {canonical_dumps(reproducer)}", file=sys.stderr)
+        raise
+    final.update({"alg": alg, "params": to_jsonable(params)})
+    if seed is not None:
+        final["seed"] = seed
     for rec in records:
         out.write(canonical_dumps(rec) + "\n")
     out.write(canonical_dumps(final) + "\n")
@@ -614,31 +648,27 @@ def cmd_constants(args, out) -> int:
     return EXIT_OK
 
 
-def _adversary_step(args):
-    matroid = None
-    if args.alg == "k-uniform":
-        if args.k is None:
-            raise InstanceError("--alg k-uniform needs --k")
-        solve_alpha(args.k)  # refuses k <= 3: the stream plays the capacity rule, not the fallback
-        matroid = UniformMatroid(args.k)
-    return _rule(args.alg, matroid)[0]
-
-
 def cmd_adversary(args, out) -> int:
-    alpha = _exact(str(args.alpha))
+    flags = _flags_read(args, "family", FAMILY_FLAGS)
+    alpha = _exact(args.alpha)
     kwargs = {}
     if args.family == "uniform":
-        if args.k is None:
-            raise InstanceError("the uniform family needs --k")
-        kwargs = {
-            "epsilon": _exact(str(args.eps)), "delta": _exact(str(args.delta)),
-            "k": args.k,
-        }
+        kwargs = {"epsilon": _exact(flags["eps"]), "delta": _exact(flags["delta"]),
+                  "k": flags["k"]}
     driver = make_driver(args.family, alpha, **kwargs)
     if driver.range_warning:
         print(f"warning: {driver.range_warning}", file=sys.stderr)
-    step = _adversary_step(args)
-    outcome = run_adversary(driver, step, record_rounds=not args.quiet)
+    step = _rule(args.alg, driver.matroid)[0]
+    if args.alg == "k-uniform":
+        # refuses k <= 3: the stream plays the capacity rule, not the fallback
+        solve_alpha(driver.matroid.k)
+    try:
+        outcome = run_adversary(driver, step, record_rounds=not args.quiet)
+    except InvariantViolation:
+        # the stream is a function of these alone
+        reproducer = {"family": args.family, "alpha": args.alpha, "alg": args.alg, **flags}
+        print(f"reproducer: {canonical_dumps(reproducer)}", file=sys.stderr)
+        raise
     for rec in outcome.rounds:
         out.write(canonical_dumps(to_jsonable(rec)) + "\n")
     final = {
@@ -732,22 +762,15 @@ def _verify_rounding(rng: random.Random, cases: int, out, seed: int) -> int:
     return failures
 
 
+SUITES = {"lemmas": _verify_lemmas, "rounding": _verify_rounding, "sampling": _verify_sampling}
+
+
 def cmd_verify(args, out) -> int:
     if args.cases < 0:
         raise InstanceError(f"--cases must be 0 or more, not {args.cases}")
-    seed = args.seed
-    failures = 0
-    suites = ("lemmas", "rounding", "sampling") if args.suite == "all" else (args.suite,)
-    for suite in suites:
-        rng = random.Random(seed)
-        if suite == "lemmas":
-            failures += _verify_lemmas(rng, args.cases, out, seed)
-        elif suite == "sampling":
-            failures += _verify_sampling(rng, args.cases, out, seed)
-        elif suite == "rounding":
-            failures += _verify_rounding(rng, args.cases, out, seed)
-        else:
-            raise InstanceError(f"unknown suite {suite!r}")
+    suites = SUITES if args.suite == "all" else (args.suite,)
+    failures = sum(SUITES[suite](random.Random(args.seed), args.cases, out, args.seed)
+                   for suite in suites)
     return EXIT_OK if failures == 0 else EXIT_VIOLATION
 
 
@@ -757,16 +780,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="replay an instance through a step rule")
-    run.add_argument("--alg", required=True, choices=[
-        "k-uniform", "general", "partition-frac", "bipartite",
-        "nonmono-general", "nonmono-uniform", "best-singleton",
-    ])
+    run.add_argument("--alg", required=True, choices=list(RUN_FLAGS))
     run.add_argument("--instance", required=True)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--c", default=None, help="the exchange rule's c > 1 (default 2)")
-    run.add_argument("--delta", default="0.02")
+    _add_flag(run, "seed", "the seed of the rule's samples", "alg", RUN_FLAGS, int)
+    _add_flag(run, "c", "the exchange rule's c > 1", "alg", RUN_FLAGS)
+    _add_flag(run, "delta", "the unit of fractional mass, 1/delta an integer", "alg", RUN_FLAGS)
     run.add_argument("--check-every-round", action="store_true")
-    run.add_argument("--trials", type=int, default=1)
+    _add_flag(run, "trials", "the number of samples averaged", "alg", RUN_FLAGS, int)
     run.add_argument("--out", default=None)
 
     cons = sub.add_parser("constants", help="threshold constants table")
@@ -774,19 +794,17 @@ def build_parser() -> argparse.ArgumentParser:
     cons.add_argument("--rho", type=int, default=1, choices=[1, 3])
 
     adv = sub.add_parser("adversary", help="drive a hardness family")
-    adv.add_argument("--family", required=True,
-                     choices=["uniform", "partition-monotone", "partition-general"])
+    adv.add_argument("--family", required=True, choices=list(FAMILY_FLAGS))
     adv.add_argument("--alpha", required=True)
-    adv.add_argument("--eps", default="0.05")
-    adv.add_argument("--delta", default="0.2")
-    adv.add_argument("--k", type=int, default=None)
+    _add_flag(adv, "eps", "the stream's epsilon, in (0, 1)", "family", FAMILY_FLAGS)
+    _add_flag(adv, "delta", "floor(delta * k) is the number of phases", "family", FAMILY_FLAGS)
+    _add_flag(adv, "k", "the rank of the uniform matroid", "family", FAMILY_FLAGS, int)
     adv.add_argument("--alg", default="general",
                      choices=["general", "k-uniform", "best-singleton"])
     adv.add_argument("--quiet", action="store_true")
 
     ver = sub.add_parser("verify", help="randomized property suites")
-    ver.add_argument("--suite", default="all",
-                     choices=["lemmas", "rounding", "sampling", "all"])
+    ver.add_argument("--suite", default="all", choices=[*SUITES, "all"])
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--cases", type=int, default=200,
                      help="cases per suite (the rounding suite caps at 40)")
@@ -800,15 +818,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if getattr(args, "out", None):
         close = out = open(args.out, "w", encoding="utf-8")
     try:
-        if args.command == "run":
-            return cmd_run(args, out)
-        if args.command == "constants":
-            return cmd_constants(args, out)
-        if args.command == "adversary":
-            return cmd_adversary(args, out)
-        if args.command == "verify":
-            return cmd_verify(args, out)
-        raise InstanceError(f"unknown command {args.command!r}")
+        # looked up at call time, so that a replaced cmd_* is the one called
+        return globals()[f"cmd_{args.command}"](args, out)
     except (ValueError, OSError) as exc:
         # library errors (instance, matroid, objective, tracker) all derive
         # from ValueError; InvariantViolation does not and maps to 3 below

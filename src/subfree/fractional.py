@@ -45,11 +45,6 @@ THRESHOLD_TOL = 1e-9
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _as_exact(delta) -> Fraction:
-    # str() round-trips decimal literals like 0.02 to 1/50 exactly
-    return delta if isinstance(delta, Fraction) else Fraction(str(delta))
-
-
 @dataclass
 class Unit:
     element: str
@@ -59,21 +54,12 @@ class Unit:
 
 
 class FractionalState:
-    def __init__(
-        self,
-        objective: Objective,
-        matroid: PartitionMatroid,
-        delta=None,
-    ):
+    def __init__(self, objective: Objective, matroid: PartitionMatroid, delta):
         from .algorithms import solve_alpha  # local import avoids a cycle
 
         self.objective = objective
         self.matroid = matroid
-        if delta is None:
-            # one fiftieth of the smallest capacity, snapped to a unit
-            # fraction so that every integer capacity is a whole number of units
-            delta = Fraction(1, math.ceil(50 / min(matroid.capacity.values())))
-        self.delta = _as_exact(delta)
+        self.delta = Fraction(delta)
         if self.delta <= 0 or (1 / self.delta).denominator != 1:
             raise ValueError("delta must be positive with integral 1/delta")
         # delta = 1/q, so float(n * delta) is n / q: both are correctly rounded

@@ -224,8 +224,7 @@ def test_zero_denominator_argument_exits_2(argv, capsys):
 def test_run_general_check_every_round(tmp_path, rng):
     path = write_instance(tmp_path, make_instance(rng, 9))
     code, text = run_main(
-        ["run", "--alg", "general", "--instance", path, "--seed", "1",
-         "--check-every-round"]
+        ["run", "--alg", "general", "--instance", path, "--check-every-round"]
     )
     assert code == EXIT_OK
     lines = [json.loads(l) for l in text.splitlines()]
@@ -295,21 +294,37 @@ def test_run_bipartite_refuses_c_of_at_most_1(tmp_path, capsys, c, empty):
         assert capsys.readouterr().err == "error: the exchange rule needs c > 1\n"
 
 
-# The rules each flag applies to; no rule takes --k, since k-uniform reads k
-# from the instance's matroid.
-RULES_OF = {"--c": ("general", "bipartite"), "--k": ()}
+# The rules each flag applies to, as a refusal lists them, and a value each of
+# them reads; no rule takes --k, since k-uniform reads k from the instance's
+# matroid.
+RANDOMIZED = ("partition-frac", "nonmono-general", "nonmono-uniform")
+RULES_OF = {
+    "--c": (("general", "bipartite"), "general and bipartite", "4"),
+    "--seed": (RANDOMIZED, "partition-frac, nonmono-general and nonmono-uniform", "4"),
+    "--trials": (RANDOMIZED, "partition-frac, nonmono-general and nonmono-uniform", "4"),
+    "--delta": (("partition-frac",), "partition-frac", "1/4"),
+    "--k": ((), "", "4"),
+}
+EXAMPLE_OF = {"bipartite": "bipartite_small", "nonmono-uniform": "interval_small"}
 
 
-@pytest.mark.parametrize("flag, alg", [
-    (flag, alg) for flag, rules in RULES_OF.items()
-    for alg in ("k-uniform", "general", "best-singleton", "partition-frac",
-                "nonmono-general", "nonmono-uniform", "bipartite")
-    if alg not in rules
+@pytest.mark.parametrize("alg", [
+    "k-uniform", "general", "best-singleton", "partition-frac", "nonmono-general",
+    "nonmono-uniform", "bipartite",
 ])
+@pytest.mark.parametrize("flag", RULES_OF)
 def test_run_refuses_a_parameter_its_rule_ignores(capsys, flag, alg):
-    example = "bipartite_small" if alg == "bipartite" else "coverage_small"
-    argv = ["run", "--alg", alg, flag, "4", "--instance", str(EXAMPLES / f"{example}.json")]
-    rules = " and ".join(RULES_OF[flag])
+    rules, listed, value = RULES_OF[flag]
+    example = EXAMPLE_OF.get(alg, "coverage_small")
+    argv = ["run", "--alg", alg, flag, value, "--instance", str(EXAMPLES / f"{example}.json")]
+    if alg in rules:  # read, and echoed in the final record
+        code, text = run_main(argv)
+        assert (code, capsys.readouterr().err) == (EXIT_OK, "")
+        final = json.loads(text.splitlines()[-1])
+        echoed = final["seed"] if flag == "--seed" else final["params"][flag[2:]]
+        assert echoed == {"--c": 4.0, "--delta": "1/4"}.get(flag, 4)
+        assert ("seed" in final) == (alg in RANDOMIZED)
+        return
     if not rules:  # the parser knows no such option
         with pytest.raises(SystemExit) as exc:
             run_main(argv)
@@ -318,7 +333,26 @@ def test_run_refuses_a_parameter_its_rule_ignores(capsys, flag, alg):
         return
     code, text = run_main(argv)
     assert (code, text) == (EXIT_INSTANCE, "")
-    assert capsys.readouterr().err == f"error: {flag} applies to --alg {rules}, not {alg}\n"
+    assert capsys.readouterr().err == f"error: {flag} applies to --alg {listed}, not {alg}\n"
+
+
+# The families each flag applies to, and a value the uniform family reads.
+FAMILIES_OF = {"--eps": "1/10", "--delta": "1/2", "--k": "10"}
+
+
+@pytest.mark.parametrize("family", ["uniform", "partition-monotone", "partition-general"])
+@pytest.mark.parametrize("flag", FAMILIES_OF)
+def test_adversary_refuses_a_parameter_its_family_ignores(capsys, flag, family):
+    argv = ["adversary", "--family", family, "--alpha", "3", flag, FAMILIES_OF[flag]]
+    if family == "uniform":
+        k = [] if flag == "--k" else ["--k", "10"]
+        code, text = run_main(argv + k)
+        assert (code, capsys.readouterr().err) == (EXIT_OK, "")
+        if flag != "--k":  # read: the stream differs from the one at the default
+            assert text != run_main(argv[:5] + k)[1]
+        return
+    assert run_main(argv) == (EXIT_INSTANCE, "")
+    assert capsys.readouterr().err == f"error: {flag} applies to --family uniform, not {family}\n"
 
 
 def test_run_k_uniform_check_every_round(tmp_path):
@@ -664,23 +698,26 @@ def test_adversary_stops_at_float_range(family, alpha, alg):
     assert json.loads(out)["stop_reason"] == "phase-cap"
 
 
-def test_adversary_alg_matroid_mismatch_exits_2():
+def test_adversary_alg_matroid_mismatch_exits_2(capsys):
     code, _ = run_main(
         ["adversary", "--family", "partition-monotone", "--alpha", "3.0",
-         "--alg", "k-uniform", "--k", "4", "--quiet"]
+         "--alg", "k-uniform", "--quiet"]
     )
     assert code == EXIT_INSTANCE  # capacity rule cannot run on a partition matroid
+    assert capsys.readouterr().err == "error: k-uniform needs a uniform matroid\n"
 
 
 @pytest.mark.parametrize("k, message", [
-    (None, "--alg k-uniform needs --k"),
+    (None, "--family uniform needs --k"),
+    ("2", "the capacity rule needs k >= 4 when rho=1"),
     ("3", "the capacity rule needs k >= 4 when rho=1"),
-    ("0", "k must be a positive integer or infinity"),
+    ("0", "delta * k must be at least 1 (no phases otherwise)"),
 ])
 def test_adversary_k_uniform_plays_only_the_capacity_rule(capsys, k, message):
-    # unlike run, the adversary never routes k <= 3 to best-singleton
-    argv = ["adversary", "--family", "partition-monotone", "--alpha", "3", "--alg", "k-uniform",
-            "--quiet"]
+    # unlike run, the adversary never routes k <= 3 to best-singleton; at
+    # delta = 1/2, k = 2 and 3 give the stream one phase
+    argv = ["adversary", "--family", "uniform", "--alpha", "3", "--delta", "1/2",
+            "--alg", "k-uniform", "--quiet"]
     code, out = run_main(argv + (["--k", k] if k else []))
     assert (code, out) == (EXIT_INSTANCE, "")
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -720,13 +757,15 @@ def test_violation_maps_to_exit_3(monkeypatch):
     ("coverage_small", ["best-singleton"], None, None),
     ("coverage_small", ["partition-frac"], "fractional per-round ratio",
      1 / solve_alpha("inf").value),
+    ("coverage_small", ["partition-frac", "--delta", "1/10", "--seed", "2", "--trials", "3"],
+     "fractional per-round ratio", 1 / solve_alpha("inf").value),
     ("coverage_small", ["nonmono-general"], "expected per-round ratio", 1 / 16),
     ("interval_small", ["nonmono-uniform"], "expected per-round ratio",
      solve_alpha(2, rho=3).ratio * (1 - 1 / 3)),
     ("bipartite_small", ["bipartite"], "assignment per-round ratio", 1 / 5),
 ])
 def test_every_rule_checks_its_guarantee_against_the_prefix_optimum(
-        monkeypatch, capsys, example, argv, what, guarantee):
+        tmp_path, monkeypatch, capsys, example, argv, what, guarantee):
     # optima 100 times too large: every checked round falls short of its guarantee
     reference = cli._reference_optima
     monkeypatch.setattr(cli, "_reference_optima", lambda inst, check: [
@@ -739,9 +778,45 @@ def test_every_rule_checks_its_guarantee_against_the_prefix_optimum(
         return
     assert (code, text) == (EXIT_VIOLATION, "")
     reproducer, violation = err.splitlines()
-    assert json.loads(reproducer.removeprefix("reproducer: "))["alg"] == argv[0]
+    reproducer = json.loads(reproducer.removeprefix("reproducer: "))
+    assert reproducer["alg"] == argv[0]
     assert violation.startswith(f"violation: {what}: value ")
     assert violation.split(" below ")[1].split(" * ")[0] == repr(guarantee)
+    # the reproducer's rule, flags and instance replay the same violation
+    path = tmp_path / "reproducer.json"
+    path.write_text(json.dumps(reproducer.pop("instance")), encoding="utf-8")
+    replay = [arg for name, value in reproducer.items() for arg in (f"--{name}", str(value))]
+    code, text = run_main(["run", *replay, "--check-every-round", "--instance", str(path)])
+    assert (code, text) == (EXIT_VIOLATION, "")
+    assert capsys.readouterr().err.splitlines()[1] == violation
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "uniform", "--alpha", "3", "--eps", "1/10", "--delta", "1/2", "--k", "8"],
+    ["--family", "partition-general", "--alpha", "5/2"],
+])
+def test_adversary_violation_prints_a_reproducer_that_replays(monkeypatch, capsys, argv):
+    rounds = []
+
+    def step(st, u, c):  # the exchange rule, failing at its fifth arrival
+        rounds.append(u)
+        if len(rounds) == 5:
+            raise InvariantViolation(f"forced at {u} with f(S) = {st.f_S()}")
+        return step_general_matroid(st, u, c)
+
+    step_general_matroid = cli.step_general_matroid
+    monkeypatch.setattr(cli, "step_general_matroid", step)
+    assert run_main(["adversary", *argv, "--alg", "general"]) == (EXIT_VIOLATION, "")
+    reproducer, violation = capsys.readouterr().err.splitlines()
+    reproducer = json.loads(reproducer.removeprefix("reproducer: "))
+    flags = dict(zip(argv[::2], argv[1::2]))
+    assert reproducer == {name[2:]: int(value) if name == "--k" else value
+                          for name, value in {**flags, "--alg": "general"}.items()}
+    assert violation.startswith("violation: forced at ")
+    rounds.clear()
+    replay = [arg for name, value in reproducer.items() for arg in (f"--{name}", str(value))]
+    assert run_main(["adversary", *replay]) == (EXIT_VIOLATION, "")
+    assert capsys.readouterr().err.splitlines()[1] == violation
 
 
 def test_k_uniform_checks_the_capacity_rule_constant(tmp_path, monkeypatch, capsys):
@@ -997,14 +1072,14 @@ def test_rounded_mean_is_the_mean_over_one_generator_seeded_seed_plus_one():
     seed = 5
     for example, trials in (("coverage_small", 20000), ("coverage_wide", 2000)):
         inst = Instance.load(str(EXAMPLES / f"{example}.json"))
-        _, final = cli.run_fractional(inst, None, seed, trials, check=False)
-        st = FractionalState(inst.objective, inst.matroid)
+        _, final = cli.run_fractional(inst, Fraction(1, 50), seed, trials, check=False)
+        st = FractionalState(inst.objective, inst.matroid, delta=Fraction(1, 50))
         for u in inst.arrival_order:
             st.step(u)
         values = [inst.objective.value(chosen) for chosen in online_roundings(st, seed + 1, trials)]
         assert final["rounded_mean"] == statistics.fmean(values), example
         assert final["rounded_once"] == sorted(st.round_with_seed(seed))
-        _, once = cli.run_fractional(inst, None, seed, 1, check=False)
+        _, once = cli.run_fractional(inst, Fraction(1, 50), seed, 1, check=False)
         assert once["rounded_mean"] == inst.objective.value(st.round_with_seed(seed + 1))
 
 

@@ -28,20 +28,9 @@ def test_delta_validation():
     f = Linear({"a": 1})
     with pytest.raises(ValueError):
         FractionalState(f, m, delta=Fraction(3, 7))
-    FractionalState(f, m, delta=0.02)  # decimal literal is exact
-
-
-def test_delta_default_scales_with_smallest_capacity():
-    f = Linear({"a": 1, "b": 1})
-    m1 = PartitionMatroid({"a": "p", "b": "q"}, {"p": 1, "q": 3})
-    assert FractionalState(f, m1).delta == Fraction(1, 50)
-    m2 = PartitionMatroid({"a": "p", "b": "q"}, {"p": 2, "q": 3})
-    assert FractionalState(f, m2).delta == Fraction(1, 25)
-    m3 = PartitionMatroid({"a": "p", "b": "q"}, {"p": 3, "q": 3})
-    st3 = FractionalState(f, m3)
-    assert st3.delta == Fraction(1, 17)  # nearest unit fraction to 3/50
-    assert all(n * st3.delta == c for n, c in
-               zip(st3.slots_per_part.values(), st3.parts.values()))
+    with pytest.raises(ValueError):  # the float nearest 0.02 is not 1/50
+        FractionalState(f, m, delta=0.02)
+    assert FractionalState(f, m, delta="0.02").delta == Fraction(1, 50)
 
 
 def test_first_element_fills_until_capacity():
@@ -71,7 +60,7 @@ def test_unit_count_hand_computed_capacity_one():
 def test_unlabelled_element_rejected():
     f = Linear({"a": 1})
     m = PartitionMatroid({"a": "p"}, {"p": 1})
-    st = FractionalState(f, m)
+    st = FractionalState(f, m, delta=Fraction(1, 50))
     with pytest.raises(Exception):
         st.step("zz")
 
@@ -273,7 +262,7 @@ def test_round_online_sole_occupant_always_selected():
 def test_round_online_empty_state():
     f = Linear({"a": 1.0})
     m = PartitionMatroid({"a": "p"}, {"p": 1})
-    st = FractionalState(f, m)
+    st = FractionalState(f, m, delta=Fraction(1, 50))
     assert st.round_online({"p": [0.5, 1.0]}) == st.round_with_seed(0) == frozenset()
 
 
