@@ -29,6 +29,7 @@ compares an exact weight with c = p / q times another as p * w(v) > q * w(u).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -212,6 +213,11 @@ def _check_c(c) -> None:
         raise ValueError("the exchange rule needs c > 1")
 
 
+@functools.lru_cache(maxsize=None, typed=True)  # typed: c = 2 gives 2.0, c = Fraction(2) gives 2
+def _history_factor(c):
+    return c / (c - 1)
+
+
 def propose_general_matroid(st: OnlineState, u: str, c=2) -> Decision:
     """Free slots take any positive-weight arrival; otherwise the exchange
     candidate of minimal weight is replaced when w(u) >= c times that weight."""
@@ -237,7 +243,7 @@ def commit_general_matroid(st: OnlineState, d: Decision, c=2) -> Decision:
     if not d.accepted:
         return d
     _commit(st, d)
-    factor = c / (c - 1)
+    factor = _history_factor(c)
     if not st.approx_gt(st.w_arrival_over_S(), st.w_A_total(), CHECK_TOL, times=factor):
         raise InvariantViolation(
             f"history bound failed: w(A)={st.unscaled(st.w_A_total())}"

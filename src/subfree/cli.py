@@ -115,12 +115,39 @@ def _json_object(x, what: str) -> dict:
     return x
 
 
+def _make_canonical_encoder():
+    """CPython's C encoder with exactly the arguments that ``json.dumps(obj,
+    sort_keys=True, separators=(", ", ": "))`` builds it with, made once
+    rather than once per line.  ``markers`` is its cycle check, shared by
+    every call: the runner encodes from one thread."""
+    spec = json.JSONEncoder(sort_keys=True, separators=(", ", ": "))
+    markers = {}
+    encode = json.encoder.c_make_encoder(
+        markers, spec.default, json.encoder.encode_basestring_ascii, spec.indent,
+        spec.key_separator, spec.item_separator, spec.sort_keys, spec.skipkeys,
+        spec.allow_nan)
+    return encode, markers
+
+
+_ENCODE, _MARKERS = _make_canonical_encoder()
+
+
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
+    """``json.dumps(obj, sort_keys=True, separators=(", ", ": "))``, byte for byte."""
+    try:
+        return "".join(_ENCODE(obj, 0))
+    except BaseException:
+        _MARKERS.clear()  # a failed encode leaves the ids of its open containers
+        raise
+
+
+_PLAIN = frozenset({type(None), bool, int, float, str})
 
 
 def to_jsonable(x):
     """Recursive float/str coercion for report payloads."""
+    if type(x) in _PLAIN:
+        return x
     if isinstance(x, Fraction):
         return float(x)
     if isinstance(x, frozenset):
@@ -627,8 +654,7 @@ def cmd_run(args, out) -> int:
     final.update({"alg": alg, "params": to_jsonable(params)})
     if seed is not None:
         final["seed"] = seed
-    for rec in records:
-        out.write(canonical_dumps(rec) + "\n")
+    out.writelines(canonical_dumps(rec) + "\n" for rec in records)
     out.write(canonical_dumps(final) + "\n")
     return EXIT_OK
 

@@ -19,6 +19,7 @@ the difference of.
 """
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -28,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import opaque_matroid
 from subfree.adversaries import UniformHardnessDriver, run_adversary
+from subfree.cli import canonical_dumps
 from subfree.algorithms import (
     NonmonotoneGeneralRun,
     NonmonotoneUniformRun,
@@ -721,3 +723,54 @@ def test_block_sampled_value_refuses_beyond_the_limit():
         OpaqueObjective(f).block_sampled_value(blocks, 3)
     with pytest.raises(ObjectiveError, match="cannot hold"):
         f.block_sampled_value([["e00", "e01"]], 1)
+
+
+JSON_SCALARS = (
+    st.none() | st.booleans()
+    | st.integers(-10 ** 30, 10 ** 30)
+    | st.sampled_from([10 ** 30, -10 ** 30, 0.0, -0.0, math.nan, math.inf, -math.inf])
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+    | st.sampled_from(["\x00", "\x1f\x7f", "\u00e9\u2028\U0001f600", "\"\\/\b\f\n\r\t"])
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=4)),
+    max_leaves=20,
+)
+
+
+def reference_dumps(x) -> str:
+    return json.dumps(x, sort_keys=True, separators=(", ", ": "))
+
+
+@settings(max_examples=300)
+@given(JSON_TREES)
+def test_canonical_dumps_matches_json_dumps(x):
+    assert canonical_dumps(x) == reference_dumps(x)
+
+
+@settings(max_examples=60)
+@given(JSON_TREES, st.sampled_from(["bad", "cycle"]))
+def test_canonical_dumps_fails_as_json_dumps_does_and_then_encodes_correctly(x, failure):
+    # the failure sits inside open containers, whose cycle marks it must not keep
+    if failure == "bad":
+        poison, error = {"a": [1, {"b": object()}]}, TypeError
+    else:
+        poison, error = [1, {"b": []}], ValueError
+        poison[1]["b"].append(poison)
+    tree = {"x": x, "z": [poison]}
+    with pytest.raises(error) as expected:
+        reference_dumps(tree)
+    with pytest.raises(error) as got:
+        canonical_dumps(tree)
+    assert str(got.value) == str(expected.value)
+    # the same containers, mended: a mark left by the failure would read as a cycle
+    if failure == "bad":
+        poison["a"][1]["b"] = 2
+    else:
+        poison[1]["b"].pop()
+    assert canonical_dumps(tree) == reference_dumps(tree)
+    assert canonical_dumps([x, x]) == reference_dumps([x, x])

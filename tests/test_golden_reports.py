@@ -106,3 +106,25 @@ def test_command_output_matches_the_golden_log(name):
 def test_every_golden_command_log_has_a_command():
     logs = {p.stem for p in (GOLDEN / "commands").glob("*.jsonl")}
     assert logs == set(COMMANDS)
+
+
+# every golden that ``run`` writes: the reports, then the run commands' logs
+GOLDEN_RUNS = {
+    **{p.stem: (golden_argv(ROOT / "docs/examples" / f"{p.stem.split('.')[0]}.json",
+                            p.stem.split(".", 1)[1]), p)
+       for p in sorted(GOLDEN.glob("*.jsonl"))},
+    **{f"commands/{name}": (argv, GOLDEN / "commands" / f"{name}.jsonl")
+       for name, argv in COMMANDS.items() if argv[0] == "run"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_run_out_file_holds_the_bytes_of_stdout(name, tmp_path):
+    # the benchmark writes its reports with --out; the tests above pin stdout
+    argv, golden = GOLDEN_RUNS[name]
+    report = tmp_path / "report.jsonl"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--out", str(report)])
+    assert (code, out.getvalue(), err.getvalue()) == (EXIT_OK, "", "")
+    assert report.read_bytes() == golden.read_bytes()
