@@ -15,11 +15,15 @@ Families:
   thin interval, phase by phase: when a phase starts, one ``register`` call
   adds its 2k cells and their items, and the optimum after each of its
   cells is computed, so offering a cell only sets the optimum and yields.
-  A union is registered when it is offered.  With epsilon = p/q over P
-  phases, a phase-i interval weighs (q/(q-p))^i / k, the int
-  q^i (q-p)^(P-i) over the common denominator ``unit`` = k (q-p)^P, so the
-  coverage is built on those ints with that ``unit`` (see the objective
-  module) and every per-arrival sum and comparison is an int operation.
+  The set-up is built by C-level iterators: the cell ids join the phase
+  prefix to suffixes made once per driver, and the optima are running sums
+  (``itertools.accumulate``) whose prefix at or below the optimum before
+  the phase is found by one bisection and raised to it.  A union is
+  registered when it is offered.  With epsilon = p/q over P phases, a
+  phase-i interval weighs (q/(q-p))^i / k, the int q^i (q-p)^(P-i) over
+  the common denominator ``unit`` = k (q-p)^P, so the coverage is built on
+  those ints with that ``unit`` (see the objective module) and every
+  per-arrival sum and comparison is an int operation.
 * ``PartitionMonotoneDriver`` - capacity-1 parts; phase i offers the item
   once in the contested part and once in a private part, with weights from
   sum_{j<=i+1} a_j = alpha * a_i, driven until the recurrence
@@ -50,8 +54,10 @@ record and for the minimum it returns.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, repeat
 from typing import Callable, Dict, Generator, List, Optional
 
 from .algorithms import solve_alpha
@@ -298,10 +304,11 @@ class UniformHardnessDriver(AdversaryDriver):
         self._opt = 0
         self.kept_value = 0  # sum over finished phases of x_j w_j, in units
         self.x: List[Fraction] = []
+        self._cell_suffixes = [f".s{j}" for j in range(1, 2 * k + 1)]
 
     def cell_ids(self, i: int) -> List[str]:
         """Phase i's thin intervals, in arrival order."""
-        return [f"p{i}.s{j}" for j in range(1, 2 * self.k + 1)]
+        return list(map(f"p{i}".__add__, self._cell_suffixes))
 
     def cell_weight(self, i: int) -> Fraction:
         # value of one phase-i interval: 2 * (1/2k) * (1-eps)^-i
@@ -320,12 +327,14 @@ class UniformHardnessDriver(AdversaryDriver):
             items = list(range(first, first + 2 * k))  # one int object in weights and covers
             f.register({el: (item,) for el, item in zip(cells, items)}, dict.fromkeys(items, w))
             # OPT after cell j: the kept value plus min(j, k-i+1) fresh cells,
-            # or OPT before the phase where that is larger
+            # or OPT before the phase where that is larger; the sums increase,
+            # so the floor covers a prefix of them
             fresh = k - i + 1
-            opts = [self.kept_value + j * w for j in range(1, fresh + 1)]
-            opts += [opts[-1]] * (2 * k - fresh)
-            before = self._opt
-            opts = [opt if opt > before else before for opt in opts]
+            opts = list(accumulate(repeat(w, fresh), initial=self.kept_value))
+            del opts[0]
+            floored = bisect_right(opts, self._opt)
+            opts[:floored] = repeat(self._opt, floored)
+            opts += repeat(opts[-1], 2 * k - fresh)
             for el, opt in zip(cells, opts):
                 self._opt = opt
                 visible = yield el

@@ -25,11 +25,16 @@ Three families share one normal form, ``WeightedCoverage``: elements cover
 weighted items, and a set's value is the total weight of the items its
 members cover.  ``value``, the accumulator and the keeper are written once
 on that form, and its ``register`` is the one way to grow an instance, a
-batch of elements at a time, as adaptive streams do.  The keeper is an
-ownership ledger: each item lists the members covering it in the order
-they were added, the first of them owns it, and a member's weight is the
-mass it owns; removing a member hands each item it owned to the next
-holder in line, so neither call evaluates ``value``.
+batch of elements at a time, as adaptive streams do; it tests each distinct
+new weight once, since a batch often shares one.  The accumulator keeps the
+covered items, and an arrival's marginal sums its uncovered items in sorted
+order, as ``value`` does; an element that covers one item, as a thin
+interval or a ``Linear`` element does, costs one membership test, returning
+``zero`` or ``zero`` plus the item's weight, the value and type that sum
+gives.  The keeper is an ownership ledger: each item lists the members
+covering it in the order they were added, the first of them owns it, and a
+member's weight is the mass it owns; removing a member hands each item it
+owned to the next holder in line, so neither call evaluates ``value``.
 The other two families only build items, once, at load.  ``Linear`` gives
 each element one private item of its weight.  ``IntervalCoverage`` uses the
 segments between consecutive interval endpoints, each weighing twice its
@@ -266,7 +271,12 @@ class CurrentWeights:
 
 
 def _check_weights(what: str, weights: Mapping) -> None:
-    for key, w in weights.items():
+    try:  # each distinct weight once: a batch often shares one
+        if all(0 <= w < math.inf for w in set(weights.values())):
+            return
+    except TypeError:  # a weight that is unhashable or no number: the loop meets it in order
+        pass
+    for key, w in weights.items():  # the first bad key in insertion order
         if not 0 <= w < math.inf:  # negative, infinite or NaN
             problem = "negative weight" if w < 0 else "a non-finite weight"
             raise ObjectiveError(f"{what} {key!r} has {problem}")
@@ -386,9 +396,13 @@ class _CoverageAccumulator(MarginalAccumulator):
 
     def marginal(self, u: str):
         f = self._f
+        items = f.covers[u]
+        if len(items) == 1:
+            # one membership test; the value and type that sum() gives
+            (i,) = items
+            return f.zero if i in self._covered else f.zero + f.universe_weight[i]
         # the uncovered items in sorted order, as value() sums them
-        return sum(map(f.universe_weight.__getitem__, sorted(f.covers[u] - self._covered)),
-                   f.zero)
+        return sum(map(f.universe_weight.__getitem__, sorted(items - self._covered)), f.zero)
 
     def add(self, u: str) -> None:
         self._covered |= self._f.covers[u]

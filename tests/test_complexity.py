@@ -11,6 +11,12 @@ with the selected set S as it grows, shows as a larger ratio.
 - the uniform hardness family at k and 2k, whose arrivals grow as k^2, under
   each rule it plays.
 
+The capacity rule's work must not grow with the capacity either: ``run
+--alg k-uniform`` on the same generator at n = 800 grows at most 1.5 times
+from k = 20 to k = 80 (1.36 times; the larger set accepts more arrivals
+before it fills).  Finding the least member by a scan of S instead of the
+lazy heap gives 1.57 times.
+
 The bound is a ratio, so it survives Python upgrades; absolute counts are
 not asserted.  ``partition-frac`` is left out until ROADMAP item 4: its cost
 grows with the history, 8.45 times at 4n.
@@ -28,6 +34,7 @@ import pytest
 from subfree.cli import EXIT_OK, main
 
 GROWTH = 4.5
+K_GROWTH = 1.5
 
 
 def exchange_partition(n: int, uniform_k=None, seed: int = 1) -> dict:
@@ -60,12 +67,12 @@ def calls(argv) -> int:
     return pstats.Stats(profile).total_calls
 
 
-def assert_growth(small_argv, large_argv):
+def assert_growth(small_argv, large_argv, bound=GROWTH):
     for argv in (small_argv, large_argv):  # unprofiled: the parser and caches that outlive a run
         with contextlib.redirect_stdout(io.StringIO()):
             main(argv)
     small, large = calls(small_argv), calls(large_argv)
-    assert large <= GROWTH * small, f"{large} calls vs {small}: {large / small:.2f}x"
+    assert large <= bound * small, f"{large} calls vs {small}: {large / small:.2f}x"
 
 
 @pytest.mark.parametrize("alg, k", [("general", None), ("k-uniform", 20)])
@@ -77,6 +84,16 @@ def test_run_calls_grow_linearly_in_arrivals(alg, k, tmp_path):
         argv[n] = ["run", "--alg", alg, "--instance", str(instance),
                    "--out", str(tmp_path / "report.jsonl")]
     assert_growth(argv[200], argv[800])
+
+
+def test_capacity_rule_calls_barely_grow_with_k(tmp_path):
+    argv = {}
+    for k in (20, 80):
+        instance = tmp_path / f"k{k}.json"
+        instance.write_text(json.dumps(exchange_partition(800, k)), encoding="utf-8")
+        argv[k] = ["run", "--alg", "k-uniform", "--instance", str(instance),
+                   "--out", str(tmp_path / "report.jsonl")]
+    assert_growth(argv[20], argv[80], K_GROWTH)
 
 
 @pytest.mark.parametrize("alg", ["k-uniform", "general", "best-singleton"])

@@ -588,6 +588,59 @@ def test_integer_exchange_comparison_matches_greater(unit, c, data):
     assert greater_times(c, w, w_u, unit) == greater(tie, w_u, unit)
 
 
+# -- the coverage accumulator ---------------------------------------------------------
+
+
+# weights that f.zero + w changes: JSON true and false load as bools and -0.0 as
+# a negative zero, each of which a sum from f.zero turns into its plain number
+ODD_WEIGHTS = {"int": [0, False, True], "fraction": [Fraction(0)], "float": [0.0, -0.0],
+               "unit": [0]}
+
+
+@st.composite
+def accumulator_objectives(draw):
+    """Weighted coverage whose covers mix empty, one-item and multi-item sets
+    (int, Fraction, float or unit-scaled int weights, zeros included), a
+    ``Linear``, or an ``IntervalCoverage`` of short intervals, many of them one
+    segment.  On coverage and intervals, two one-item elements ``s0`` and
+    ``s1`` share an item, so whichever arrives second finds it covered."""
+    family = draw(st.sampled_from(["coverage", "linear", "intervals"]))
+    n = draw(st.integers(1, 8))
+    if family == "intervals":
+        half = Fraction(1, 2)
+        covers = {f"e{j}": [(half * a, half * (a + m))]
+                  for j, (a, m) in enumerate(draw(st.lists(
+                      st.tuples(st.integers(0, 6), st.integers(1, 3)), min_size=n, max_size=n)))}
+        return IntervalCoverage(Fraction(1, 4), {**covers, "s0": [(0, half)], "s1": [(0, half)]})
+    kind = draw(st.sampled_from(sorted(ODD_WEIGHTS)))
+    num = {"int": int, "fraction": lambda x: Fraction(x, 7), "float": lambda x: x / 8,
+           "unit": int}[kind]  # eighths: every float sum here is exact
+    weight = st.integers(1, 30).map(num) | st.sampled_from(ODD_WEIGHTS[kind])
+    if family == "linear":
+        return Linear({f"e{j}": draw(weight) for j in range(n)})
+    items = [f"x{i}" for i in range(draw(st.integers(1, 6)))]
+    covers = {f"e{j}": draw(st.frozensets(st.sampled_from(items), max_size=3)) for j in range(n)}
+    return WeightedCoverage({i: draw(weight) for i in items},
+                            {**covers, "s0": ["x0"], "s1": ["x0"]},
+                            unit=6 if kind == "unit" else 1)
+
+
+@settings(max_examples=200)
+@given(accumulator_objectives(), st.data())
+def test_coverage_accumulator_matches_the_value_difference(f, data):
+    """Each arrival's marginal, fed in random order, is f(A + u) - f(A), in the
+    type and sign that summing u's new items from ``f.zero`` gives."""
+    acc, added, covered = f.accumulator(), set(), set()
+    for u in data.draw(st.permutations(sorted(f.covers))):
+        got = acc.marginal(u)
+        assert got == f.value(added | {u}) - f.value(added)
+        summed = sum((f.universe_weight[i] for i in sorted(f.covers[u] - covered)), f.zero)
+        assert (type(got), repr(got)) == (type(summed), repr(summed))
+        acc.add(u)
+        added.add(u)
+        covered |= f.covers[u]
+
+
 # -- closed-form extensions on weighted coverage ---------------------------------------
 
 

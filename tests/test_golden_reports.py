@@ -10,9 +10,10 @@ change, and say so in CHANGES.md.
 ``golden/commands`` pins a few more commands the same way: the full round
 log of the k=20 uniform hardness stream under the capacity rule, the
 ``--quiet`` final line of the k=200 stream (the benchmark's command) under
-the capacity rule, the exchange rule and the best singleton, the exchange rule
-at a c that is not an integer (c = 3/2 and 5/2) on Fraction and int
-weights, and the fractional rule's rounding phase at scale: 20,000 trials
+the capacity rule, the exchange rule and the best singleton, the same line
+of the k=400 stream (64,080 arrivals) under the capacity rule, the
+exchange rule at a c that is not an integer (c = 3/2 and 5/2) on Fraction
+and int weights, and the fractional rule's rounding phase at scale: 20,000 trials
 on coverage_small, whose roundings repeat, and 2,000 on coverage_wide,
 where 43 owners share the 60 slots of a part and almost every rounding is
 distinct.  The three randomized rules also run at ``--seed 9 --trials 0``,
@@ -75,6 +76,9 @@ COMMANDS = {
         "adversary", "--family", "uniform", "--alpha", "3", "--eps", "0.05",
         "--delta", "0.2", "--k", "200", "--alg", alg, "--quiet"]
        for alg in ("k-uniform", "general", "best-singleton")},
+    "adversary.uniform.k400.k-uniform.quiet": [
+        "adversary", "--family", "uniform", "--alpha", "3", "--eps", "0.05",
+        "--delta", "0.2", "--k", "400", "--alg", "k-uniform", "--quiet"],
     **{f"interval_small.general.c{c}": [
         "run", "--alg", "general", "--c", c, "--check-every-round",
         "--instance", str(ROOT / "docs/examples/interval_small.json")] for c in ("1.5", "2.5")},

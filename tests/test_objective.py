@@ -294,6 +294,45 @@ def test_weighted_coverage_register_is_all_or_nothing(last, extra, match):
     assert f.value(covers) == 1 + sum(range(1, 9))
 
 
+@pytest.mark.parametrize("shared", [3, Fraction(5, 2), 0.75])
+@pytest.mark.parametrize("bad, match", [
+    (-1, "negative weight"), (math.inf, "a non-finite weight"), (math.nan, "a non-finite weight"),
+])
+@pytest.mark.parametrize("at", [0, 500, 999])
+def test_register_names_the_first_bad_weight_of_a_shared_weight_batch(shared, bad, match, at):
+    """Many items share one weight, and one bad weight sits first, in the
+    middle or last.  Before the last place it is followed by the same bad
+    weight and by another one on a key that sorts first.  The error names
+    the first bad key in insertion order, and nothing lands."""
+    new = dict.fromkeys((f"p{j}" for j in range(1000)), shared)
+    new[f"p{at}"] = bad
+    if at < 999:
+        new[f"p{at + 1}"] = bad
+        new["a0"] = -2
+    f = WeightedCoverage({"x": 1}, {"a": {"x"}})
+    before = (dict(f.universe_weight), dict(f.covers))
+    with pytest.raises(ObjectiveError, match=f"^item 'p{at}' has {match}$"):
+        f.register({f"e{j}": [f"p{j}"] for j in range(1000)}, new)
+    assert (f.universe_weight, f.covers) == before
+    with pytest.raises(ObjectiveError, match=f"^element 'p{at}' has {match}$"):
+        Linear(new)
+
+
+@pytest.mark.parametrize("weights, error, match", [
+    ({"a": -1, "b": None}, ObjectiveError, "^item 'a' has negative weight$"),
+    ({"a": 1, "b": None, "c": -1}, TypeError, "'<=' not supported"),
+    ({"a": 1, "b": [1], "c": -1}, TypeError, "'<=' not supported"),
+    ({"a": math.nan, "b": {}}, ObjectiveError, "^item 'a' has a non-finite weight$"),
+])
+def test_register_meets_a_weight_that_is_no_number_in_order(weights, error, match):
+    """A weight that is unhashable or cannot be compared fails where the
+    in-order check reaches it, after any bad weight before it."""
+    f = WeightedCoverage({}, {})
+    with pytest.raises(error, match=match):
+        f.register({}, weights)
+    assert f.universe_weight == {}
+
+
 # -- accumulator hooks ------------------------------------------------------
 
 
